@@ -1,0 +1,119 @@
+"""Pinned outputs of the integrate-and-solve pattern.
+
+Every case is compared to `data/equivalence.json` to 1e-12 relative to
+the case's largest magnitude, so a refactor of the RK4 stepping, the
+field readout or the sideband solves that moves a result past rounding
+shows here.  The values were recorded before that code was shared;
+re-record them only for a change meant to move the physics, with
+
+    PYTHONPATH=src python tests/test_equivalence.py
+"""
+import json
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lambdaloop import (
+    AtomParams,
+    DriveConfig,
+    SweepSpec,
+    WeakProbeWarning,
+    bare_transition_transmission,
+    build_liouvillian,
+    input_fields,
+    preset_atom,
+    preset_drive,
+    refractive_spectrum,
+    sideband_transfer,
+    time_evolve,
+    transmission,
+)
+
+DATA = Path(__file__).parent / "data" / "equivalence.json"
+RTOL = 1e-12
+
+# The soft fixture of conftest.py: rates compressed so explicit RK4 is cheap.
+SOFT_ATOM = AtomParams.from_hz(2e3, 40.0, 60.0, 1.5e3, 0.1, 0.075)
+SOFT_DRIVE = DriveConfig.from_hz(30.0, 1.1, 300.0, 80.0)
+UNPOLARIZED = np.diag([0, 0, 0.5, 0.5]).astype(complex)
+PRESETS = ("fig3-cold", "fig4-warm")
+
+
+def _time_evolve_soft():
+    liou = build_liouvillian(SOFT_ATOM, SOFT_DRIVE, input_fields(SOFT_DRIVE))
+    # 200 full steps plus a shortened last one.
+    return time_evolve(UNPOLARIZED, liou, 0.02005, 1e-4).rho
+
+
+def _transmission(name):
+    return transmission(preset_atom(name), preset_drive(name), 64)
+
+
+def _bare_transition(name):
+    return bare_transition_transmission(preset_atom(name), n_steps=64)
+
+
+def _sideband_transfer_warm():
+    return sideband_transfer(
+        preset_atom("fig4-warm"), preset_drive("fig4-warm"),
+        [-5.0, 0.0, 5.0], 32,
+    )
+
+
+def _refractive_spectrum_warm():
+    drive = replace(preset_drive("fig4-warm"), phi=0.35)
+    spec = SweepSpec("probe_detuning", (-10.0, -5.0, 0.0, 5.0, 10.0), drive,
+                     preset_atom("fig4-warm"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakProbeWarning)
+        return refractive_spectrum(spec).ys
+
+
+CASES = {
+    "time_evolve_soft": _time_evolve_soft,
+    **{f"transmission_{name}_64": (lambda n=name: _transmission(n))
+       for name in PRESETS},
+    "sideband_transfer_warm_32": _sideband_transfer_warm,
+    **{f"bare_transition_{name}_64": (lambda n=name: _bare_transition(n))
+       for name in PRESETS},
+    "refractive_spectrum_warm_5": _refractive_spectrum_warm,
+}
+
+
+def _flat(value) -> np.ndarray:
+    return np.ravel(np.asarray(value, dtype=complex))
+
+
+def _record() -> None:
+    pinned = {
+        name: [[z.real, z.imag] for z in _flat(case())]
+        for name, case in CASES.items()
+    }
+    lines = [f" {json.dumps(name)}: {json.dumps(values)}"
+             for name, values in pinned.items()]
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(DATA.read_text())
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_matches_pinned(name, pinned):
+    expected = np.array([complex(re, im) for re, im in pinned[name]])
+    got = _flat(CASES[name]())
+    assert got.shape == expected.shape
+    worst = np.max(np.abs(got - expected))
+    assert worst <= RTOL * np.max(np.abs(expected)), (
+        f"{name}: max deviation {worst:.3e} against scale "
+        f"{np.max(np.abs(expected)):.3e}"
+    )
+
+
+if __name__ == "__main__":
+    _record()

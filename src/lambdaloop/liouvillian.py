@@ -283,6 +283,18 @@ def _coerce_state(rho0) -> np.ndarray:
     return np.array(rho0, dtype=complex)
 
 
+def rk4_step(rhs, y, t: float, h: float):
+    """One classical RK4 step of dy/dt = rhs(y, t) from t to t + h.
+
+    Plain arithmetic only, so y may be a Python complex or a complex array.
+    """
+    k1 = rhs(y, t)
+    k2 = rhs(y + 0.5 * h * k1, t + 0.5 * h)
+    k3 = rhs(y + 0.5 * h * k2, t + 0.5 * h)
+    k4 = rhs(y + h * k3, t + h)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def time_evolve(rho0, liou: Liouvillian, t_final: float, dt: float) -> DensityMatrix:
     """Integrate d(rho)/dt = generator . rho with classical RK4.
 
@@ -304,11 +316,7 @@ def time_evolve(rho0, liou: Liouvillian, t_final: float, dt: float) -> DensityMa
     if remainder > 1e-15 * max(t_final, dt):
         steps.append(remainder)
     for k, h in enumerate(steps):
-        k1 = gen @ vec
-        k2 = gen @ (vec + 0.5 * h * k1)
-        k3 = gen @ (vec + 0.5 * h * k2)
-        k4 = gen @ (vec + h * k3)
-        vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        vec = rk4_step(lambda v, _t: gen @ v, vec, k * dt, h)
         drift = abs(np.real(TRACE_ROW @ vec) - trace_ref)
         if not np.isfinite(drift) or drift > TRACE_DRIFT_LIMIT:
             raise SimulationError(

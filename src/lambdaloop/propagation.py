@@ -35,6 +35,7 @@ from .core import (
 from .liouvillian import (
     SteadyStateError,
     circular_template,
+    rk4_step,
     steady_state_matrix,
 )
 
@@ -94,14 +95,22 @@ def probe_power(fields: FieldPair) -> tuple[float, float]:
     return direct, theta
 
 
+def field_derivative(kappa: float, rho: np.ndarray) -> np.ndarray:
+    """d(Omega_1, Omega_2)/dz driven by the optical coherences of rho."""
+    return np.array([
+        -1j * kappa * (rho[1, 2] + rho[0, 2]),
+        -1j * kappa * (rho[1, 3] - rho[0, 3]),
+    ])
+
+
 def _integrate_fields(template, delta_b, kappa, fields_in, length, n_steps,
                       stats=None):
     """Classical RK4 over z with a steady-state solve per stage."""
     max_residual = 0.0
 
-    def rhs(f1, f2, z):
+    def rhs(f, z):
         nonlocal max_residual
-        gen = template.generator(delta_b, f1, f2)
+        gen = template.generator(delta_b, f[0], f[1])
         try:
             rho = steady_state_matrix(gen)
         except SteadyStateError as exc:
@@ -111,24 +120,16 @@ def _integrate_fields(template, delta_b, kappa, fields_in, length, n_steps,
         if stats is not None:
             resid = np.linalg.norm(gen @ rho.reshape(-1)) / np.linalg.norm(gen)
             max_residual = max(max_residual, resid)
-        d1 = -1j * kappa * (rho[1, 2] + rho[0, 2])
-        d2 = -1j * kappa * (rho[1, 3] - rho[0, 3])
-        return d1, d2
+        return field_derivative(kappa, rho)
 
     h = length / n_steps
-    f1, f2 = complex(fields_in.omega1), complex(fields_in.omega2)
-    profile = [(f1, f2)]
+    f = np.array([fields_in.omega1, fields_in.omega2], dtype=complex)
+    profile = [f]
     for k in range(n_steps):
-        z = k * h
-        a1, a2 = rhs(f1, f2, z)
-        b1, b2 = rhs(f1 + 0.5 * h * a1, f2 + 0.5 * h * a2, z + 0.5 * h)
-        c1, c2 = rhs(f1 + 0.5 * h * b1, f2 + 0.5 * h * b2, z + 0.5 * h)
-        d1, d2 = rhs(f1 + h * c1, f2 + h * c2, z + h)
-        f1 = f1 + (h / 6.0) * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-        f2 = f2 + (h / 6.0) * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-        if not (np.isfinite(f1) and np.isfinite(f2)):
+        f = rk4_step(rhs, f, k * h, h)
+        if not np.isfinite(f).all():
             raise PropagationError(f"field diverged at z = {(k + 1) * h:.6g} m")
-        profile.append((f1, f2))
+        profile.append(f)
     if stats is not None:
         stats["max_steady_residual"] = max_residual
     return profile
@@ -245,14 +246,10 @@ def bare_transition_transmission(params: AtomParams,
         rho = np.linalg.solve(a, b).reshape(2, 2)
         return rho[0, 1]
 
-    def rhs(amp):
+    def rhs(amp, _z):
         return -1j * kappa * coherence(amp)
 
     amp = complex(omega_probe)
-    for _ in range(n_steps):
-        k1 = rhs(amp)
-        k2 = rhs(amp + 0.5 * h * k1)
-        k3 = rhs(amp + 0.5 * h * k2)
-        k4 = rhs(amp + h * k3)
-        amp = amp + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for k in range(n_steps):
+        amp = rk4_step(rhs, amp, k * h, h)
     return abs(amp) ** 2 / omega_probe**2

@@ -47,17 +47,14 @@ from .core import (
     input_fields,
 )
 from .liouvillian import (
-    COUPLING_FIELD1,
-    COUPLING_FIELD2,
-    COUPLING_PROBE,
     TRACE_ROW,
     SteadyStateError,
     circular_template,
-    commutator_superop,
     linear_template,
+    rk4_step,
     steady_state_matrix,
 )
-from .propagation import calibrate_kappa, transmission
+from .propagation import calibrate_kappa, field_derivative, transmission
 
 #: Overall sign making Im(chi) absorptive and slow light a rising slope.
 CHI_SIGN = -1.0
@@ -160,17 +157,22 @@ def _solve_sideband(gen, delta_angular, seed):
     return vec
 
 
+def _warn_if_strong_probe(drive: DriveConfig, stacklevel: int) -> None:
+    """Strong-probe WeakProbeWarning; stacklevel counted from the caller."""
+    if drive.omega_p > drive.omega_c / 3.0:
+        warnings.warn(
+            "probe carrier exceeds a third of the control; the "
+            "weak-probe reading of the response is strained",
+            WeakProbeWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
 class _SidebandSolver:
     """Harmonic-balance solver bound to one degenerate operating point."""
 
     def __init__(self, params: AtomParams, drive: DriveConfig):
-        if drive.omega_p > drive.omega_c / 3.0:
-            warnings.warn(
-                "probe carrier exceeds a third of the control; the "
-                "weak-probe reading of the response is strained",
-                WeakProbeWarning,
-                stacklevel=3,
-            )
+        _warn_if_strong_probe(drive, stacklevel=3)
         self.params = params
         self.drive = drive
         template = linear_template(params)
@@ -178,8 +180,8 @@ class _SidebandSolver:
             drive.delta_b, drive.omega_c, drive.probe_amplitude
         )
         self.rho0 = steady_state_matrix(self.gen0)
-        self._up = commutator_superop(COUPLING_PROBE)
-        self._dn = commutator_superop(COUPLING_PROBE.conj().T)
+        self._up = template.drive_b
+        self._dn = template.drive_b_conj
         self.seed = self._up @ self.rho0.reshape(-1)
 
     def response_vector(self, delta_angular: float) -> np.ndarray:
@@ -331,13 +333,13 @@ def chi_probe_timedomain(params: AtomParams, drive: DriveConfig,
     if delta_hz == 0.0:
         raise ValueError("the lock-in oracle needs a nonzero detuning")
     delta = hz_to_angular(delta_hz)
-    gen0 = linear_template(params).generator(
+    template = linear_template(params)
+    gen0 = template.generator(
         drive.delta_b, drive.omega_c, drive.probe_amplitude
     )
     rho_start = steady_state_matrix(gen0).reshape(-1)
     eta = sideband_fraction * (drive.omega_p or drive.omega_c)
-    up = commutator_superop(COUPLING_PROBE)
-    dn = commutator_superop(COUPLING_PROBE.conj().T)
+    up, dn = template.drive_b, template.drive_b_conj
     settle_time = 10.0 / min(params.gamma_pop, params.gamma_coh)
 
     coarse = _chi_timedomain_once(
@@ -370,10 +372,8 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
         return np.ones(deltas.shape, dtype=complex)
 
     template = circular_template(params)
-    up1 = commutator_superop(COUPLING_FIELD1)
-    up2 = commutator_superop(COUPLING_FIELD2)
-    dn1 = commutator_superop(COUPLING_FIELD1.conj().T)
-    dn2 = commutator_superop(COUPLING_FIELD2.conj().T)
+    up1, dn1 = template.drive_a, template.drive_a_conj
+    up2, dn2 = template.drive_b, template.drive_b_conj
     length = params.cell_length
     h = length / n_steps
     fields0 = input_fields(drive)
@@ -383,52 +383,49 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
     for i, d_hz in enumerate(deltas):
         delta = hz_to_angular(float(d_hz))
 
-        def rhs(state):
+        def rhs(state, _z):
             f1, f2, e1, e2, m1c, m2c = state
             gen = template.generator(drive.delta_b, f1, f2)
             rho = steady_state_matrix(gen)
             vec = rho.reshape(-1)
-            df1 = -1j * kappa * (rho[1, 2] + rho[0, 2])
-            df2 = -1j * kappa * (rho[1, 3] - rho[0, 3])
             low = _solve_sideband(
                 gen, delta,
                 (e1 * up1 + e2 * up2 + np.conj(m1c) * dn1
                  + np.conj(m2c) * dn2) @ vec,
             ).reshape(4, 4)
-            de1 = -1j * kappa * (low[1, 2] + low[0, 2])
-            de2 = -1j * kappa * (low[1, 3] - low[0, 3])
             high = _solve_sideband(
                 gen, -delta,
                 (np.conj(m1c) * up1 + np.conj(m2c) * up2 + e1 * dn1
                  + e2 * dn2) @ vec,
             ).reshape(4, 4)
-            dm1 = -1j * kappa * (high[1, 2] + high[0, 2])
-            dm2 = -1j * kappa * (high[1, 3] - high[0, 3])
-            return np.array(
-                [df1, df2, de1, de2, np.conj(dm1), np.conj(dm2)],
-                dtype=complex,
-            )
+            return np.concatenate([
+                field_derivative(kappa, rho),
+                field_derivative(kappa, low),
+                np.conj(field_derivative(kappa, high)),
+            ])
 
         state = np.array(
             [fields0.omega1, fields0.omega2, sb, -sb, sb, -sb],
             dtype=complex,
         )
-        for _ in range(n_steps):
-            k1 = rhs(state)
-            k2 = rhs(state + 0.5 * h * k1)
-            k3 = rhs(state + 0.5 * h * k2)
-            k4 = rhs(state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for k in range(n_steps):
+            state = rk4_step(rhs, state, k * h, h)
         out[i] = (state[2] - state[3]) / math.sqrt(2.0)
     return out
 
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Gaussian probe-envelope pulse riding the degenerate carrier."""
+    """Gaussian probe-envelope pulse riding the degenerate carrier.
+
+    peak_omega_p is kept with the pulse but pulse_response does not read
+    it: the response is a linear filter of the normalized envelope, and
+    the probe carrier amplitude it linearizes around is the drive's
+    omega_p.
+    """
 
     fwhm: float                       # seconds
-    peak_omega_p: float               # angular frequency
+    peak_omega_p: float               # angular frequency; not read
     carrier_detuning: float = 0.0     # angular frequency
     time_window: float | None = None  # seconds; defaults to 8 * fwhm
     n_samples: int = 1024
@@ -500,13 +497,7 @@ def pulse_response(params: AtomParams, drive: DriveConfig, pulse: PulseSpec,
     the fractional peak delay, output peak minus input peak over the
     FWHM; negative values are advances.
     """
-    if drive.omega_p > drive.omega_c / 3.0:
-        warnings.warn(
-            "probe carrier exceeds a third of the control; the "
-            "weak-probe reading of the response is strained",
-            WeakProbeWarning,
-            stacklevel=2,
-        )
+    _warn_if_strong_probe(drive, stacklevel=2)
     times = pulse.times
     envelope = pulse.envelope
     nyquist_hz = 0.5 * pulse.n_samples / pulse.time_window

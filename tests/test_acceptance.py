@@ -89,6 +89,14 @@ def single_lambda_limit(params, near, n_points, n_steps):
     return 2.0 * far - near, 2.0 * far / near
 
 
+def slope_fits(spectra):
+    """Re chi slope fit within +/-10 Hz at each slope-check configuration."""
+    return {
+        (db_hz, phi): group_velocity_class(spectra[(db_hz, phi)], 10.0)
+        for db_hz, phi, _ in SLOPE_CONFIGS
+    }
+
+
 @pytest.fixture(scope="module")
 def cold_phase_sweeps():
     """64-point cold phase sweeps for delta_b in {0, 10, 80} Hz."""
@@ -241,10 +249,11 @@ def test_criterion_5_bfield_mirror():
 
 
 def test_criterion_6_slope_signs(warm_spectra):
+    fits = slope_fits(warm_spectra)
     results = []
     ok_all = True
     for db_hz, phi, expected in SLOPE_CONFIGS:
-        fit = group_velocity_class(warm_spectra[(db_hz, phi)], 10.0)
+        fit = fits[(db_hz, phi)]
         resolved = abs(fit.slope_per_hz) > 10.0 * fit.stderr_per_hz
         sign_ok = np.sign(fit.slope_per_hz) == expected and resolved
         ok_all = ok_all and sign_ok
@@ -255,7 +264,7 @@ def test_criterion_6_slope_signs(warm_spectra):
         )
     report(6, ok_all, "; ".join(results))
     for db_hz, phi, expected in SLOPE_CONFIGS:
-        fit = group_velocity_class(warm_spectra[(db_hz, phi)], 10.0)
+        fit = fits[(db_hz, phi)]
         assert abs(fit.slope_per_hz) > 10.0 * fit.stderr_per_hz
         assert np.sign(fit.slope_per_hz) == expected, (
             f"slope sign at (delta_b={db_hz} Hz, phi={phi:.3f}) is "
@@ -322,12 +331,15 @@ def test_criterion_9_beer_lambert_calibration():
 
 def test_criterion_10_pulse_sign_consistency(warm_spectra):
     pulse = PulseSpec(fwhm=5e-3, peak_omega_p=WARM_DRIVE.omega_p)
+    fits = slope_fits(warm_spectra)
+    delays = {}
     entries = []
     ok_all = True
     for db_hz, phi, _ in SLOPE_CONFIGS:
         drive = replace(WARM_DRIVE, delta_b=hz_to_angular(db_hz), phi=phi)
-        fit = group_velocity_class(warm_spectra[(db_hz, phi)], 10.0)
+        fit = fits[(db_hz, phi)]
         _, frac = pulse_response(WARM, drive, pulse)
+        delays[(db_hz, phi)] = frac
         matches = (
             (fit.classification == "slow" and frac > 0)
             or (fit.classification == "fast" and frac < 0)
@@ -350,9 +362,7 @@ def test_criterion_10_pulse_sign_consistency(warm_spectra):
            "; ".join(entries) + f"; OD=0 delay {frac0:.1e} (limit 1e-12)")
     assert zero_ok
     for db_hz, phi, _ in SLOPE_CONFIGS:
-        drive = replace(WARM_DRIVE, delta_b=hz_to_angular(db_hz), phi=phi)
-        fit = group_velocity_class(warm_spectra[(db_hz, phi)], 10.0)
-        _, frac = pulse_response(WARM, drive, pulse)
+        fit, frac = fits[(db_hz, phi)], delays[(db_hz, phi)]
         if fit.classification == "slow":
             assert frac > 0
         elif fit.classification == "fast":

@@ -5,6 +5,8 @@ from lambdaloop import (
     AtomParams,
     DriveConfig,
     FieldPair,
+    PropagationError,
+    SteadyStateError,
     bare_transition_transmission,
     calibrate_kappa,
     input_fields,
@@ -14,6 +16,7 @@ from lambdaloop import (
     to_linear,
     transmission,
 )
+from lambdaloop import propagation
 
 
 def free_space(atom: AtomParams) -> AtomParams:
@@ -158,3 +161,55 @@ class TestTransmission:
         assert got == pytest.approx(
             np.exp(-0.5 * cold_atom.optical_depth), rel=2e-3
         )
+
+
+class TestFailurePaths:
+    """A failure inside the z integration must name its z."""
+
+    N_STEPS = 16
+
+    def stage_hook(self, monkeypatch, on_call):
+        # Route every stage solve through on_call(n, solve): n counts the
+        # solves from 1, so stage s of 0-based step k is n = 4k + s, and
+        # solve() runs the real solver.
+        real = propagation.steady_state_matrix
+        calls = []
+
+        def hooked(gen, **kwargs):
+            calls.append(None)
+            return on_call(len(calls), lambda: real(gen, **kwargs))
+
+        monkeypatch.setattr(propagation, "steady_state_matrix", hooked)
+
+    def test_steady_state_failure_names_stage_z(self, cold_atom, cold_drive,
+                                                monkeypatch):
+        # Stage 2 of step 2 (0-based) solves at z = 2.5 h.
+        def on_call(n, solve):
+            if n == 4 * 2 + 2:
+                raise SteadyStateError("injected")
+            return solve()
+
+        self.stage_hook(monkeypatch, on_call)
+        h = cold_atom.cell_length / self.N_STEPS
+        with pytest.raises(PropagationError) as info:
+            propagate(input_fields(cold_drive), cold_atom, cold_drive,
+                      self.N_STEPS)
+        assert str(info.value).startswith(
+            f"steady-state solve failed at z = {2.5 * h:.6g} m: injected"
+        )
+        assert isinstance(info.value.__cause__, SteadyStateError)
+
+    def test_non_finite_derivative_reports_divergence(
+            self, cold_atom, cold_drive, monkeypatch):
+        # From step 5 (0-based) on every stage sees NaN coherences.
+        def on_call(n, solve):
+            if n > 4 * 5:
+                return np.full((4, 4), np.nan, dtype=complex)
+            return solve()
+
+        self.stage_hook(monkeypatch, on_call)
+        h = cold_atom.cell_length / self.N_STEPS
+        with pytest.raises(PropagationError) as info:
+            propagate(input_fields(cold_drive), cold_atom, cold_drive,
+                      self.N_STEPS)
+        assert str(info.value) == f"field diverged at z = {6 * h:.6g} m"

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from lambdaloop import (
     Curve,
     DriveConfig,
     PulseSpec,
+    SteadyStateError,
     SweepSpec,
     WeakProbeWarning,
     chi_probe_timedomain,
@@ -24,7 +26,9 @@ from lambdaloop import (
     transmission,
     weak_probe_response,
 )
-from lambdaloop.spectroscopy import apply_transfer, peak_time
+from lambdaloop.spectroscopy import _solve_sideband, apply_transfer, peak_time
+
+STRONG_PROBE = DriveConfig.from_hz(0.0, 0.0, 240e3, 120e3)
 
 
 def spectrum_for(params, drive, grid_hz, n_steps=256):
@@ -141,9 +145,17 @@ class TestResponseProperties:
         assert abs(mid - neighbors) < 0.05 * abs(mid)
 
     def test_warns_on_strong_probe(self, warm_atom):
-        drive = DriveConfig.from_hz(0.0, 0.0, 240e3, 120e3)
-        with pytest.warns(WeakProbeWarning):
-            weak_probe_response(warm_atom, drive)
+        with pytest.warns(WeakProbeWarning) as record:
+            weak_probe_response(warm_atom, STRONG_PROBE)
+        # Every warning points at the caller, not into the package.
+        assert {w.filename for w in record} == {__file__}
+
+    def test_singular_sideband_system_names_detuning(self):
+        # gen = -i*delta*I makes (-i*delta - gen) the zero matrix.
+        delta = hz_to_angular(12.5)
+        with pytest.raises(SteadyStateError, match=r"at delta = 12\.5 Hz"):
+            _solve_sideband(-1j * delta * np.eye(16), delta,
+                            np.ones(16, dtype=complex))
 
 
 class TestGroupVelocityClass:
@@ -269,6 +281,18 @@ class TestPulse:
             pulse.times, pulse.envelope
         )
         assert got == pytest.approx(t_delay, rel=1e-3)
+
+    def test_warns_on_strong_probe(self, warm_atom, warm_drive):
+        # At zero OD the transfer is unity, so only the drive check runs.
+        atom = replace(warm_atom, optical_depth=0.0)
+        pulse = PulseSpec(fwhm=5e-3, peak_omega_p=STRONG_PROBE.omega_p,
+                          n_samples=256)
+        with pytest.warns(WeakProbeWarning) as record:
+            pulse_response(atom, STRONG_PROBE, pulse)
+        assert [w.filename for w in record] == [__file__]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", WeakProbeWarning)
+            pulse_response(atom, warm_drive, pulse)
 
     def test_bandwidth_guard(self, cold_atom, cold_drive):
         pulse = PulseSpec(fwhm=1e-3, peak_omega_p=1.0, time_window=0.1,

@@ -10,35 +10,24 @@ light classification.
 from .core import (
     AtomParams,
     Curve,
-    DensityMatrix,
     DriveConfig,
     FieldPair,
     SimulationError,
-    angular_to_hz,
-    basis_change_state,
     hz_to_angular,
     input_fields,
     to_circular,
     to_linear,
-    zeeman_shift,
 )
 from .liouvillian import (
-    Liouvillian,
     SteadyStateError,
-    build_hamiltonian_circular,
-    build_hamiltonian_linear,
-    build_liouvillian,
     evolve_expm,
     nullspace_dimension,
-    steady_state,
     steady_state_matrix,
     substitution_image,
     time_evolve,
 )
 from .propagation import (
     PropagationError,
-    PropagationResult,
-    RefinementWarning,
     bare_transition_transmission,
     calibrate_kappa,
     probe_power,
@@ -47,7 +36,6 @@ from .propagation import (
 )
 from .spectroscopy import (
     PulseSpec,
-    SlopeFit,
     SweepSpec,
     WeakProbeWarning,
     chi_probe_timedomain,
@@ -61,32 +49,22 @@ from .spectroscopy import (
     sweep_phase,
     weak_probe_response,
 )
-from .presets import preset_atom, preset_drive, preset_names, preset_values
+from .presets import preset_atom, preset_drive
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AtomParams",
     "Curve",
-    "DensityMatrix",
     "DriveConfig",
     "FieldPair",
-    "Liouvillian",
     "PropagationError",
-    "PropagationResult",
     "PulseSpec",
-    "RefinementWarning",
     "SimulationError",
-    "SlopeFit",
     "SteadyStateError",
     "SweepSpec",
     "WeakProbeWarning",
-    "angular_to_hz",
     "bare_transition_transmission",
-    "basis_change_state",
-    "build_hamiltonian_circular",
-    "build_hamiltonian_linear",
-    "build_liouvillian",
     "calibrate_kappa",
     "chi_probe_timedomain",
     "evolve_expm",
@@ -98,14 +76,11 @@ __all__ = [
     "phase_grid",
     "preset_atom",
     "preset_drive",
-    "preset_names",
-    "preset_values",
     "probe_power",
     "propagate",
     "pulse_response",
     "refractive_spectrum",
     "sideband_transfer",
-    "steady_state",
     "steady_state_matrix",
     "substitution_image",
     "sweep_bfield",
@@ -115,5 +90,4 @@ __all__ = [
     "to_linear",
     "transmission",
     "weak_probe_response",
-    "zeeman_shift",
 ]

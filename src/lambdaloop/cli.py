@@ -11,15 +11,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AtomParams, DriveConfig, hz_to_angular, input_fields
+from .core import (
+    CIRCULAR_LABELS,
+    AtomParams,
+    DriveConfig,
+    hz_to_angular,
+    input_fields,
+)
 from .presets import PRESETS, preset_names
 from .propagation import transmission
-from .liouvillian import build_liouvillian, steady_state
+from .liouvillian import circular_template, steady_state_matrix
 from .spectroscopy import (
     PulseSpec,
     SweepSpec,
@@ -30,7 +37,6 @@ from .spectroscopy import (
     sweep_phase,
 )
 
-MODES = ("steady", "transmit", "sweep-phase", "sweep-b", "spectrum", "pulse")
 SWEEP_MODES = ("sweep-phase", "sweep-b", "spectrum")
 
 ATOM_KEYS = ("gamma_e_hz", "gamma_pop_hz", "gamma_coh_hz", "delta_exc_hz",
@@ -46,6 +52,16 @@ FLOAT_KEYS = set(ATOM_KEYS) | set(DRIVE_KEYS) | {
     "carrier_detuning_hz", "time_window_s",
 }
 INT_KEYS = {"points", "steps", "n_samples"}
+
+# AtomParams / DriveConfig field -> the config key that sets it, so that a
+# rejected value is reported at its own line.
+FIELD_KEYS = {
+    "gamma_e": "gamma_e_hz", "gamma_pop": "gamma_pop_hz",
+    "gamma_coh": "gamma_coh_hz", "delta_exc": "delta_exc_hz",
+    "optical_depth": "od", "cell_length": "cell_length_m",
+    "delta_b": "delta_b_hz", "phi": "phi_rad", "omega_c": "omega_c_hz",
+    "omega_p": "omega_p_hz", "delta_probe": "delta_probe_hz",
+}
 STRING_KEYS = {"mode", "preset", "out"}
 ALL_KEYS = FLOAT_KEYS | INT_KEYS | STRING_KEYS
 
@@ -163,6 +179,14 @@ def _resolve(entries: dict) -> RunConfig:
         where = f"line {line}: " if line is not None else ""
         raise ConfigError(f"{where}{message}")
 
+    def err_fields(exc, what):
+        """Report at the line of the first field the message names that
+        the config sets explicitly."""
+        named = [FIELD_KEYS[w] for w in re.findall(r"\w+", str(exc))
+                 if w in FIELD_KEYS]
+        key = next((k for k in named if lines.get(k) is not None), None)
+        err(key, f"invalid {what} parameters: {exc}")
+
     try:
         atom = AtomParams.from_hz(
             gamma_e_hz=values["gamma_e_hz"],
@@ -173,7 +197,7 @@ def _resolve(entries: dict) -> RunConfig:
             cell_length=values["cell_length_m"],
         )
     except ValueError as exc:
-        err("gamma_e_hz", f"invalid atom parameters: {exc}")
+        err_fields(exc, "atom")
     try:
         drive = DriveConfig.from_hz(
             delta_b_hz=values["delta_b_hz"],
@@ -183,7 +207,7 @@ def _resolve(entries: dict) -> RunConfig:
             delta_probe_hz=values["delta_probe_hz"],
         )
     except ValueError as exc:
-        err("omega_c_hz", f"invalid drive parameters: {exc}")
+        err_fields(exc, "drive")
 
     if values["steps"] < 16:
         err("steps", f"steps must be >= 16, got {values['steps']}")
@@ -236,7 +260,7 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -264,88 +288,89 @@ def _sweep_grid(config: RunConfig, endpoint: bool) -> np.ndarray:
     )
 
 
+# Each mode computes its result, adds to the diagnostics and returns the
+# CSV header and rows.
+
+def _steady(config: RunConfig, diagnostics: dict):
+    fields = input_fields(config.drive)
+    rho = steady_state_matrix(circular_template(config.atom).generator(
+        config.drive.delta_b, fields.omega1, fields.omega2
+    ))
+    rows = [[bra, ket, float(rho[i, j].real), float(rho[i, j].imag)]
+            for i, bra in enumerate(CIRCULAR_LABELS)
+            for j, ket in enumerate(CIRCULAR_LABELS)]
+    return ["row_level", "col_level", "re", "im"], rows
+
+
+def _transmit(config: RunConfig, diagnostics: dict):
+    value = transmission(config.atom, config.drive, config.n_steps,
+                         stats=diagnostics)
+    return ["transmission_ratio"], [[float(value)]]
+
+
+def _transmission_sweep(variable: str, sweep, column: str, endpoint: bool):
+    """Mode computing transmission over a phase or B-field grid."""
+
+    def compute(config: RunConfig, diagnostics: dict):
+        grid = _sweep_grid(config, endpoint)
+        curve = sweep(SweepSpec(variable, tuple(grid), config.drive,
+                                config.atom, config.n_steps))
+        diagnostics["modulation_depth"] = modulation_depth(curve)
+        return ([column, "transmission_ratio"],
+                zip(curve.xs.tolist(), curve.ys.tolist()))
+
+    return compute
+
+
+def _spectrum(config: RunConfig, diagnostics: dict):
+    grid = _sweep_grid(config, endpoint=True)
+    curve = refractive_spectrum(SweepSpec(
+        "probe_detuning", tuple(grid), config.drive, config.atom,
+        config.n_steps,
+    ))
+    return (["delta_hz", "re_chi_au", "im_chi_au"],
+            zip(curve.xs.tolist(), curve.ys.real.tolist(),
+                curve.ys.imag.tolist()))
+
+
+def _pulse(config: RunConfig, diagnostics: dict):
+    pulse = PulseSpec(
+        fwhm=config.fwhm_s,
+        peak_omega_p=hz_to_angular(config.peak_omega_p_hz),
+        carrier_detuning=hz_to_angular(config.carrier_detuning_hz),
+        time_window=config.time_window_s,
+        n_samples=config.n_samples,
+    )
+    curve, fractional_delay = pulse_response(
+        config.atom, config.drive, pulse, config.n_steps
+    )
+    diagnostics["fractional_delay"] = fractional_delay
+    out = curve.ys
+    return (["time_s", "envelope_in_au", "envelope_out_re_au",
+             "envelope_out_im_au", "envelope_out_abs_au"],
+            zip(curve.xs.tolist(), pulse.envelope.tolist(),
+                out.real.tolist(), out.imag.tolist(), np.abs(out).tolist()))
+
+
+RUNNERS = {
+    "steady": _steady,
+    "transmit": _transmit,
+    "sweep-phase": _transmission_sweep("phase", sweep_phase, "phi_rad",
+                                       endpoint=False),
+    "sweep-b": _transmission_sweep("b_field", sweep_bfield, "delta_b_hz",
+                                   endpoint=True),
+    "spectrum": _spectrum,
+    "pulse": _pulse,
+}
+MODES = tuple(RUNNERS)
+
+
 def run(config: RunConfig) -> int:
     """Execute a run and write <out>.csv plus <out>.json."""
-    csv_path = f"{config.out}.csv"
-    json_path = f"{config.out}.json"
     diagnostics: dict = {"mode": config.mode, "n_steps": config.n_steps}
-
-    if config.mode == "steady":
-        liou = build_liouvillian(config.atom, config.drive,
-                                 input_fields(config.drive))
-        rho = steady_state(liou)
-        rows = []
-        for i, bra in enumerate(rho.labels):
-            for j, ket in enumerate(rho.labels):
-                value = rho.rho[i, j]
-                rows.append([bra, ket, float(value.real), float(value.imag)])
-        _write_csv(csv_path, ["row_level", "col_level", "re", "im"], rows)
-
-    elif config.mode == "transmit":
-        stats: dict = {}
-        value = transmission(config.atom, config.drive, config.n_steps,
-                             stats=stats)
-        diagnostics.update(stats)
-        _write_csv(csv_path, ["transmission_ratio"], [[float(value)]])
-
-    elif config.mode == "sweep-phase":
-        grid = _sweep_grid(config, endpoint=False)
-        spec = SweepSpec("phase", tuple(grid), config.drive, config.atom,
-                         config.n_steps)
-        curve = sweep_phase(spec)
-        diagnostics["modulation_depth"] = modulation_depth(curve)
-        _write_csv(csv_path, ["phi_rad", "transmission_ratio"],
-                   [[x, float(y)] for x, y in curve.points])
-
-    elif config.mode == "sweep-b":
-        grid = _sweep_grid(config, endpoint=True)
-        spec = SweepSpec("b_field", tuple(grid), config.drive, config.atom,
-                         config.n_steps)
-        curve = sweep_bfield(spec)
-        diagnostics["modulation_depth"] = modulation_depth(curve)
-        _write_csv(csv_path, ["delta_b_hz", "transmission_ratio"],
-                   [[x, float(y)] for x, y in curve.points])
-
-    elif config.mode == "spectrum":
-        grid = _sweep_grid(config, endpoint=True)
-        spec = SweepSpec("probe_detuning", tuple(grid), config.drive,
-                         config.atom, config.n_steps)
-        curve = refractive_spectrum(spec)
-        _write_csv(
-            csv_path, ["delta_hz", "re_chi_au", "im_chi_au"],
-            [[x, float(np.real(y)), float(np.imag(y))]
-             for x, y in curve.points],
-        )
-
-    elif config.mode == "pulse":
-        pulse = PulseSpec(
-            fwhm=config.fwhm_s,
-            peak_omega_p=hz_to_angular(config.peak_omega_p_hz),
-            carrier_detuning=hz_to_angular(config.carrier_detuning_hz),
-            time_window=config.time_window_s,
-            n_samples=config.n_samples,
-        )
-        curve, fractional_delay = pulse_response(
-            config.atom, config.drive, pulse, config.n_steps
-        )
-        diagnostics["fractional_delay"] = fractional_delay
-        envelope = pulse.envelope
-        rows = [
-            [x, float(envelope[i]), float(np.real(y)), float(np.imag(y)),
-             float(np.abs(y))]
-            for i, (x, y) in enumerate(curve.points)
-        ]
-        _write_csv(
-            csv_path,
-            ["time_s", "envelope_in_au", "envelope_out_re_au",
-             "envelope_out_im_au", "envelope_out_abs_au"],
-            rows,
-        )
-
-    else:  # pragma: no cover - guarded by _resolve
-        raise ConfigError(f"unhandled mode {config.mode!r}")
-
-    _write_sidecar(json_path, config, diagnostics)
+    header, rows = RUNNERS[config.mode](config, diagnostics)
+    _write_csv(f"{config.out}.csv", header, rows)
+    _write_sidecar(f"{config.out}.json", config, diagnostics)
     return 0
 
 

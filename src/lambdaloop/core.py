@@ -19,19 +19,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import physical_constants
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 
-#: Bohr magneton over Planck constant, Hz/T (CODATA).
-BOHR_MAGNETON_HZ_PER_T = physical_constants["Bohr magneton in Hz/T"][0]
-
-#: Row/column ordering of every 4x4 matrix in the package.
+#: Row/column ordering of every circular-basis 4x4 matrix in the package.
 CIRCULAR_LABELS = ("1", "2", "3", "4")
-LINEAR_LABELS = ("1", "2", "X", "Y")
-
-LEVEL_INDEX = {"1": 0, "2": 1, "3": 2, "4": 3, "X": 2, "Y": 3}
 
 # Density-matrix validity tolerances.
 HERMITICITY_TOL = 1e-12
@@ -80,6 +73,13 @@ class AtomParams:
         for name in ("gamma_e", "gamma_pop", "gamma_coh"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
+        if self.gamma_coh < self.gamma_pop:
+            raise ValueError(
+                "gamma_coh (ground coherence decay, "
+                f"{self.gamma_coh:.6g} rad/s) must be >= gamma_pop (ground "
+                f"population-difference decay, {self.gamma_pop:.6g} rad/s); "
+                "the extra dephasing rate would be negative"
+            )
         if self.optical_depth < 0.0:
             raise ValueError("optical_depth must be >= 0")
         if self.cell_length <= 0.0:
@@ -125,8 +125,9 @@ class DriveConfig:
     delta_probe: float = 0.0
 
     def __post_init__(self):
-        if self.omega_c < 0.0 or self.omega_p < 0.0:
-            raise ValueError("Rabi magnitudes must be non-negative")
+        for name in ("omega_c", "omega_p"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative")
         object.__setattr__(self, "phi", self.phi % TWO_PI)
 
     @classmethod
@@ -186,14 +187,6 @@ def input_fields(drive: DriveConfig) -> FieldPair:
     return to_circular(complex(drive.omega_c), drive.probe_amplitude)
 
 
-def zeeman_shift(b_field: float, g_factor: float, m_quantum: int) -> float:
-    """Zeeman splitting g * mu_B * m * B / h as an angular frequency.
-
-    Odd in the field and linear in the magnetic quantum number.
-    """
-    return TWO_PI * g_factor * BOHR_MAGNETON_HZ_PER_T * m_quantum * b_field
-
-
 def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise ValueError unless rho is a valid physical state.
 
@@ -214,83 +207,24 @@ def validate_density_matrix(rho: np.ndarray) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """4x4 complex state over the circular or linear level set."""
-
-    rho: np.ndarray
-    basis: str = "circular"
-
-    def __post_init__(self):
-        if self.basis not in ("circular", "linear"):
-            raise ValueError(f"unknown basis {self.basis!r}")
-        mat = np.array(self.rho, dtype=complex)
-        mat.setflags(write=False)
-        object.__setattr__(self, "rho", mat)
-
-    @classmethod
-    def from_matrix(cls, mat, basis="circular", validate=True):
-        if validate:
-            validate_density_matrix(np.asarray(mat, dtype=complex))
-        return cls(rho=mat, basis=basis)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return CIRCULAR_LABELS if self.basis == "circular" else LINEAR_LABELS
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.rho))
-
-    def element(self, row: str, col: str) -> complex:
-        """Matrix element by level label, e.g. element('1', 'X')."""
-        return complex(self.rho[LEVEL_INDEX[row], LEVEL_INDEX[col]])
-
-    def validate(self) -> None:
-        validate_density_matrix(self.rho)
-
-
-def basis_change_state(rho: DensityMatrix, direction: str) -> DensityMatrix:
-    """Rotate a state between the circular and linear ground bases.
-
-    direction is 'circular-to-linear' or 'linear-to-circular'.  The mixing
-    is unitary on the ground block only, so trace, Hermiticity and the
-    eigenvalue spectrum are preserved exactly.
-    """
-    if direction == "circular-to-linear":
-        src, dst = "circular", "linear"
-    elif direction == "linear-to-circular":
-        src, dst = "linear", "circular"
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    if rho.basis != src:
-        raise ValueError(f"state is in the {rho.basis} basis, not {src}")
-    rotated = GROUND_MIX @ rho.rho @ GROUND_MIX
-    return DensityMatrix.from_matrix(rotated, basis=dst, validate=False)
-
-
-@dataclass(frozen=True)
 class Curve:
-    """Sampled 1-D result: abscissa label plus ordered (x, y) points."""
+    """Sampled 1-D result: abscissa label plus the xs and ys arrays."""
 
     abscissa_name: str
-    points: tuple
+    xs: np.ndarray
+    ys: np.ndarray
 
     def __post_init__(self):
-        pts = tuple((float(x), y) for x, y in self.points)
-        xs = [p[0] for p in pts]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        xs = np.asarray(self.xs, dtype=float)
+        ys = np.asarray(self.ys)
+        if xs.ndim != 1 or ys.shape != xs.shape:
+            raise ValueError("xs and ys must be 1-D of equal length")
+        if np.any(xs[1:] <= xs[:-1]):
             raise ValueError("abscissa values must be strictly increasing")
-        if not pts:
+        if not len(xs):
             raise ValueError("curve must contain at least one point")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
     def __len__(self):
-        return len(self.points)
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points])
-
-    @property
-    def ys(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
+        return len(self.xs)

@@ -25,9 +25,7 @@ from scipy.linalg import expm
 
 from .core import (
     AtomParams,
-    DensityMatrix,
     DriveConfig,
-    FieldPair,
     GROUND_MIX,
     SimulationError,
     TWO_PI,
@@ -87,13 +85,6 @@ def dissipator_superop(jump_ops) -> np.ndarray:
 
 def jump_operators(params: AtomParams, basis: str = "circular") -> list:
     """Jump operators realizing the decay model in either basis."""
-    if params.gamma_coh < params.gamma_pop:
-        raise ValueError(
-            "gamma_coh (ground coherence decay, "
-            f"{params.gamma_coh:.6g} rad/s) must be >= gamma_pop (ground "
-            f"population-difference decay, {params.gamma_pop:.6g} rad/s); "
-            "the extra dephasing rate would be negative"
-        )
     branch = math.sqrt(params.gamma_e / 2.0)
     reset = math.sqrt(params.gamma_pop / 2.0)
     ops = [
@@ -126,7 +117,6 @@ class GeneratorTemplate:
     drive_a_conj: np.ndarray
     drive_b: np.ndarray
     drive_b_conj: np.ndarray
-    basis: str
 
     def generator(self, delta_b: float, amp_a: complex, amp_b: complex) -> np.ndarray:
         return (
@@ -149,7 +139,6 @@ def circular_template(params: AtomParams) -> GeneratorTemplate:
         drive_a_conj=commutator_superop(COUPLING_FIELD1.conj().T),
         drive_b=commutator_superop(COUPLING_FIELD2),
         drive_b_conj=commutator_superop(COUPLING_FIELD2.conj().T),
-        basis="circular",
     )
 
 
@@ -163,51 +152,7 @@ def linear_template(params: AtomParams) -> GeneratorTemplate:
         drive_a_conj=commutator_superop(COUPLING_CONTROL.conj().T),
         drive_b=commutator_superop(COUPLING_PROBE),
         drive_b_conj=commutator_superop(COUPLING_PROBE.conj().T),
-        basis="linear",
     )
-
-
-def build_hamiltonian_circular(params: AtomParams, drive: DriveConfig,
-                               fields: FieldPair) -> np.ndarray:
-    """Circular-basis Hamiltonian for explicit field amplitudes."""
-    h = (
-        params.delta_exc * UPPER_PROJECTOR
-        + drive.delta_b * ZEEMAN_CIRCULAR
-        + fields.omega1 * COUPLING_FIELD1
-        + fields.omega2 * COUPLING_FIELD2
-    )
-    return h + h.conj().T - np.diag(np.diag(h)).real
-
-
-def build_hamiltonian_linear(params: AtomParams, drive: DriveConfig) -> np.ndarray:
-    """Linear-basis Hamiltonian at the degenerate drive point."""
-    h = (
-        params.delta_exc * UPPER_PROJECTOR
-        + drive.delta_b * ZEEMAN_LINEAR
-        + drive.omega_c * COUPLING_CONTROL
-        + drive.probe_amplitude * COUPLING_PROBE
-    )
-    return h + h.conj().T - np.diag(np.diag(h)).real
-
-
-@dataclass(frozen=True, eq=False)
-class Liouvillian:
-    """16x16 master-equation generator with its build inputs."""
-
-    generator: np.ndarray
-    params: AtomParams
-    drive: DriveConfig
-    fields: FieldPair
-    basis: str = "circular"
-
-
-def build_liouvillian(params: AtomParams, drive: DriveConfig,
-                      fields: FieldPair) -> Liouvillian:
-    """Full generator -i[H, .] + dissipator in the circular basis."""
-    gen = circular_template(params).generator(
-        drive.delta_b, fields.omega1, fields.omega2
-    )
-    return Liouvillian(generator=gen, params=params, drive=drive, fields=fields)
 
 
 def nullspace_dimension(generator: np.ndarray, rel_tol: float = 1e-11) -> int:
@@ -220,7 +165,7 @@ def nullspace_dimension(generator: np.ndarray, rel_tol: float = 1e-11) -> int:
     return int(np.sum(sv < rel_tol * sv[0]))
 
 
-def steady_state_matrix(generator: np.ndarray, *, validate: bool = True) -> np.ndarray:
+def steady_state_matrix(generator: np.ndarray) -> np.ndarray:
     """Unique unit-trace kernel element of the generator as a 4x4 matrix.
 
     One row of the generator is replaced by the trace constraint and the
@@ -263,24 +208,11 @@ def steady_state_matrix(generator: np.ndarray, *, validate: bool = True) -> np.n
     rho = vec.reshape(DIM, DIM)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
-    if validate:
-        try:
-            validate_density_matrix(rho)
-        except ValueError as exc:
-            raise SteadyStateError(f"steady state is unphysical: {exc}") from exc
+    try:
+        validate_density_matrix(rho)
+    except ValueError as exc:
+        raise SteadyStateError(f"steady state is unphysical: {exc}") from exc
     return rho
-
-
-def steady_state(liou: Liouvillian, *, validate: bool = True) -> DensityMatrix:
-    """Steady state of a Liouvillian as a DensityMatrix."""
-    rho = steady_state_matrix(liou.generator, validate=validate)
-    return DensityMatrix.from_matrix(rho, basis=liou.basis, validate=False)
-
-
-def _coerce_state(rho0) -> np.ndarray:
-    if isinstance(rho0, DensityMatrix):
-        return np.array(rho0.rho, dtype=complex)
-    return np.array(rho0, dtype=complex)
 
 
 def rk4_step(rhs, y, t: float, h: float):
@@ -295,7 +227,8 @@ def rk4_step(rhs, y, t: float, h: float):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def time_evolve(rho0, liou: Liouvillian, t_final: float, dt: float) -> DensityMatrix:
+def time_evolve(rho0: np.ndarray, generator: np.ndarray, t_final: float,
+                dt: float) -> np.ndarray:
     """Integrate d(rho)/dt = generator . rho with classical RK4.
 
     Fixed step; the final partial step is shortened to land on t_final.
@@ -307,8 +240,7 @@ def time_evolve(rho0, liou: Liouvillian, t_final: float, dt: float) -> DensityMa
         raise ValueError("dt must be positive")
     if t_final < 0.0:
         raise ValueError("t_final must be non-negative")
-    gen = liou.generator
-    vec = _coerce_state(rho0).reshape(-1)
+    vec = np.array(rho0, dtype=complex).reshape(-1)
     trace_ref = np.real(TRACE_ROW @ vec)
 
     n_full, remainder = divmod(t_final, dt)
@@ -316,18 +248,18 @@ def time_evolve(rho0, liou: Liouvillian, t_final: float, dt: float) -> DensityMa
     if remainder > 1e-15 * max(t_final, dt):
         steps.append(remainder)
     for k, h in enumerate(steps):
-        vec = rk4_step(lambda v, _t: gen @ v, vec, k * dt, h)
+        vec = rk4_step(lambda v, _t: generator @ v, vec, k * dt, h)
         drift = abs(np.real(TRACE_ROW @ vec) - trace_ref)
         if not np.isfinite(drift) or drift > TRACE_DRIFT_LIMIT:
             raise SimulationError(
                 f"trace drift {drift:.3e} after step {k + 1} signals "
                 f"step-size instability; decrease dt below {h:.3e}"
             )
-    rho = vec.reshape(DIM, DIM)
-    return DensityMatrix.from_matrix(rho, basis=liou.basis, validate=False)
+    return vec.reshape(DIM, DIM)
 
 
-def evolve_expm(rho0, liou: Liouvillian, t_final: float) -> DensityMatrix:
+def evolve_expm(rho0: np.ndarray, generator: np.ndarray,
+                t_final: float) -> np.ndarray:
     """Apply the exact semigroup exp(generator * t) to a state.
 
     Scaling-and-squaring matrix exponential on the 16x16 generator; valid
@@ -336,11 +268,10 @@ def evolve_expm(rho0, liou: Liouvillian, t_final: float) -> DensityMatrix:
     """
     if t_final < 0.0:
         raise ValueError("t_final must be non-negative")
-    vec = _coerce_state(rho0).reshape(-1)
-    propagator = expm(liou.generator * t_final)
+    vec = np.array(rho0, dtype=complex).reshape(-1)
+    propagator = expm(generator * t_final)
     rho = (propagator @ vec).reshape(DIM, DIM)
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix.from_matrix(rho, basis=liou.basis, validate=False)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def substitution_image(drive: DriveConfig) -> DriveConfig:

@@ -104,22 +104,19 @@ def sweep_phase(spec: SweepSpec) -> Curve:
     """Probe transmission against the input relative phase."""
     if spec.variable != "phase":
         raise ValueError("sweep_phase requires variable='phase'")
-    points = []
-    for phi in spec.grid:
-        drive = replace(spec.base_drive, phi=phi)
-        points.append((phi, transmission(spec.params, drive, spec.n_steps)))
-    return Curve("phi_rad", tuple(points))
+    ys = [transmission(spec.params, replace(spec.base_drive, phi=phi),
+                       spec.n_steps) for phi in spec.grid]
+    return Curve("phi_rad", spec.grid, ys)
 
 
 def sweep_bfield(spec: SweepSpec) -> Curve:
     """Probe transmission against the Zeeman splitting (grid in Hz)."""
     if spec.variable != "b_field":
         raise ValueError("sweep_bfield requires variable='b_field'")
-    points = []
-    for db_hz in spec.grid:
-        drive = replace(spec.base_drive, delta_b=hz_to_angular(db_hz))
-        points.append((db_hz, transmission(spec.params, drive, spec.n_steps)))
-    return Curve("delta_b_hz", tuple(points))
+    ys = [transmission(spec.params,
+                       replace(spec.base_drive, delta_b=hz_to_angular(db_hz)),
+                       spec.n_steps) for db_hz in spec.grid]
+    return Curve("delta_b_hz", spec.grid, ys)
 
 
 def modulation_depth(curve: Curve) -> float:
@@ -239,8 +236,8 @@ def refractive_spectrum(spec: SweepSpec) -> Curve:
             "refractive_spectrum requires variable='probe_detuning'"
         )
     solver = _SidebandSolver(spec.params, spec.base_drive)
-    points = [(d_hz, solver.chi(hz_to_angular(d_hz))) for d_hz in spec.grid]
-    return Curve("delta_hz", tuple(points))
+    ys = [solver.chi(hz_to_angular(d_hz)) for d_hz in spec.grid]
+    return Curve("delta_hz", spec.grid, ys)
 
 
 @dataclass(frozen=True)
@@ -516,5 +513,4 @@ def pulse_response(params: AtomParams, drive: DriveConfig, pulse: PulseSpec,
 
     out = apply_transfer(times, envelope, transfer_at)
     delay = peak_time(times, np.abs(out)) - peak_time(times, envelope)
-    curve = Curve("time_s", tuple(zip(times, out)))
-    return curve, delay / pulse.fwhm
+    return Curve("time_s", times, out), delay / pulse.fwhm

@@ -1,7 +1,24 @@
 import numpy as np
 import pytest
 
-from lambdaloop import AtomParams, DriveConfig, preset_atom, preset_drive
+from lambdaloop import (
+    AtomParams,
+    DriveConfig,
+    input_fields,
+    preset_atom,
+    preset_drive,
+)
+from lambdaloop.liouvillian import circular_template
+
+
+def circular_generator(params, drive, fields=None):
+    """16x16 circular-basis generator at a drive's input fields, or at the
+    given FieldPair."""
+    if fields is None:
+        fields = input_fields(drive)
+    return circular_template(params).generator(
+        drive.delta_b, fields.omega1, fields.omega2
+    )
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import circular_generator
 from lambdaloop import (
     AtomParams,
     DriveConfig,
@@ -18,19 +19,17 @@ from lambdaloop import (
     SweepSpec,
     WeakProbeWarning,
     bare_transition_transmission,
-    build_liouvillian,
     chi_probe_timedomain,
     evolve_expm,
     group_velocity_class,
     hz_to_angular,
-    input_fields,
     modulation_depth,
     phase_grid,
     preset_atom,
     preset_drive,
     pulse_response,
     refractive_spectrum,
-    steady_state,
+    steady_state_matrix,
     sweep_bfield,
     sweep_phase,
     transmission,
@@ -240,7 +239,8 @@ def test_criterion_5_bfield_mirror():
     shifted = curve_at(phi + np.pi)
     mirrored = dict(zip(np.round(-shifted.xs, 9), shifted.ys))
     worst = max(
-        abs(y - mirrored[np.round(x, 9)]) for x, y in direct.points
+        abs(y - mirrored[np.round(x, 9)])
+        for x, y in zip(direct.xs, direct.ys)
     )
     ok = worst < 1e-8
     report(5, ok, f"mirror mismatch  {worst:.2e} (limit 1e-8), "
@@ -289,9 +289,9 @@ def test_criterion_7_steady_state_oracle():
                     oc_hz * rng.uniform(0.5, 1.5),
                     op_hz * rng.uniform(0.5, 1.5),
                 )
-                liou = build_liouvillian(params, drive, input_fields(drive))
-                direct = steady_state(liou).rho
-                evolved = evolve_expm(start_state, liou, horizon).rho
+                gen = circular_generator(params, drive)
+                direct = steady_state_matrix(gen)
+                evolved = evolve_expm(start_state, gen, horizon)
                 worst = max(worst, float(np.max(np.abs(direct - evolved))))
         return worst
 
@@ -382,9 +382,7 @@ def test_criterion_11_state_validity(transmission_grids):
             db = rng.choice(transmission_grids["db_grid"])
             phi = rng.choice(transmission_grids["phis"])
             d = replace(drive, delta_b=hz_to_angular(db), phi=float(phi))
-            rho = steady_state(
-                build_liouvillian(params, d, input_fields(d))
-            ).rho
+            rho = steady_state_matrix(circular_generator(params, d))
             assert abs(np.trace(rho).real - 1.0) < 1e-10
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
             assert np.linalg.eigvalsh(rho).min() >= -1e-9

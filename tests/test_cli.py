@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from lambdaloop import propagation
+from lambdaloop.liouvillian import SteadyStateError
 from lambdaloop.cli import (
     ConfigError,
     emit_config,
@@ -60,7 +62,21 @@ def test_sweep_needs_two_points():
 
 def test_out_of_range_value_reports_line():
     text = "mode = transmit\npreset = fig3-cold\ngamma_e_hz = -5\n"
-    with pytest.raises(ConfigError, match="invalid atom"):
+    with pytest.raises(ConfigError, match="^line 3: invalid atom"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("od", "-1", "optical_depth must be >= 0"),
+    ("cell_length_m", "0", "cell_length must be > 0"),
+    ("omega_p_hz", "-3", "omega_p must be non-negative"),
+    ("gamma_pop_hz", "20", "gamma_coh .* >= gamma_pop"),
+], ids=["od", "cell_length_m", "omega_p_hz", "gamma_pop_hz"])
+def test_rejected_override_reports_its_line(key, value, message):
+    # The other atom and drive keys come from the preset, which has no
+    # line; the error must point at the override that broke it.
+    text = f"mode = transmit\npreset = fig3-cold\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=f"^line 3: .*{message}"):
         parse_config(text)
 
 
@@ -197,3 +213,17 @@ def test_main_reports_config_errors(capsys):
     code = main(["transmit", "--preset", "fig3-cold", "--od", "-1"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_solver_failure_exits_one(tmp_path, monkeypatch, capsys):
+    def fail(_generator):
+        raise SteadyStateError("forced failure")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(propagation, "steady_state_matrix", fail)
+    code = main(["transmit", "--preset", "fig3-cold", "--steps", "16",
+                 "--out", "failed"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "forced failure" in err and "at z = 0 m" in err
+    assert list(tmp_path.iterdir()) == []

@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
+from conftest import circular_generator
 from lambdaloop import (
     AtomParams,
     DriveConfig,
     FieldPair,
     SimulationError,
     SteadyStateError,
-    build_hamiltonian_circular,
-    build_hamiltonian_linear,
-    build_liouvillian,
     evolve_expm,
     input_fields,
     nullspace_dimension,
-    steady_state,
     steady_state_matrix,
     substitution_image,
     time_evolve,
@@ -22,6 +19,8 @@ from lambdaloop.core import GROUND_MIX, hz_to_angular
 from lambdaloop.liouvillian import (
     TRACE_ROW,
     circular_template,
+    dissipator_superop,
+    jump_operators,
     linear_template,
 )
 
@@ -37,66 +36,82 @@ def random_drive(rng, oc_hz, op_hz):
     )
 
 
+def apply(gen, rho):
+    return (gen @ rho.reshape(-1)).reshape(4, 4)
+
+
 class TestHamiltonian:
+    """The coherent part -i[H, .] of the generator."""
+
     def test_all_zero(self):
-        atom = AtomParams.from_hz(6e6, 10, 10, 1e-30, 0.15, 0.075)
-        h = build_hamiltonian_circular(
-            atom, DriveConfig(0, 0, 0, 0), FieldPair(0j, 0j)
-        )
-        assert np.max(np.abs(h)) < 1e-20
+        # No fields, no Zeeman splitting and no excited splitting leave
+        # only the dissipator.
+        atom = AtomParams.from_hz(6e6, 10, 10, 0.0, 0.15, 0.075)
+        gen = circular_generator(atom, DriveConfig(0, 0, 0, 0))
+        assert np.array_equal(gen, dissipator_superop(jump_operators(atom)))
 
     def test_diagonal_zeeman(self, cold_atom):
+        # With the fields off, rho_34 rotates at the Zeeman splitting and
+        # rho_12 at the excited splitting, each decaying at its own rate.
         drive = DriveConfig.from_hz(80.0, 0.0, 0.0, 0.0)
-        h = build_hamiltonian_circular(cold_atom, drive, FieldPair(0j, 0j))
-        expected = np.diag(
-            [cold_atom.delta_exc, 0.0, np.pi * 80.0, -np.pi * 80.0]
-        )
-        assert np.allclose(h, expected, atol=1e-9)
+        gen = circular_generator(cold_atom, drive)
+        for (i, j), rate in (
+            ((2, 3), -1j * drive.delta_b - cold_atom.gamma_coh),
+            ((0, 1), -1j * cold_atom.delta_exc - cold_atom.gamma_e),
+        ):
+            coh = np.zeros((4, 4), complex)
+            coh[i, j] = 1.0
+            assert np.allclose(apply(gen, coh), rate * coh,
+                               rtol=0.0, atol=1e-12 * abs(rate))
 
     def test_hermitian_random(self, cold_atom, rng):
+        # A Hermitian H and Lindblad dissipation map Hermitian states to
+        # Hermitian derivatives, at any complex field amplitudes.
         for _ in range(10):
             drive = random_drive(rng, 20e3, 5e3)
             fields = FieldPair(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
-            h = build_hamiltonian_circular(cold_atom, drive, fields)
-            assert np.max(np.abs(h - h.conj().T)) < 1e-9
+            gen = circular_generator(cold_atom, drive, fields)
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            out = apply(gen, a + a.conj().T)
+            assert np.max(np.abs(out - out.conj().T)) < 1e-12 * np.max(
+                np.abs(gen)
+            )
 
     def test_linear_equals_rotated_circular(self, cold_atom, rng):
+        # The cold preset has gamma_coh = gamma_pop, so unlike the warm
+        # check below no dephasing jump operator enters.
+        mix = np.kron(GROUND_MIX, GROUND_MIX)
+        template = linear_template(cold_atom)
         for _ in range(5):
             drive = random_drive(rng, 20e3, 5e3)
-            h_circ = build_hamiltonian_circular(
-                cold_atom, drive, input_fields(drive)
+            gen_l = template.generator(drive.delta_b, drive.omega_c,
+                                       drive.probe_amplitude)
+            rotated = mix @ circular_generator(cold_atom, drive) @ mix
+            assert np.max(np.abs(rotated - gen_l)) < 1e-12 * np.max(
+                np.abs(gen_l)
             )
-            h_lin = build_hamiltonian_linear(cold_atom, drive)
-            rotated = GROUND_MIX @ h_circ @ GROUND_MIX
-            assert np.max(np.abs(rotated - h_lin)) < 1e-6 * np.max(np.abs(h_lin))
 
 
 class TestGenerator:
     def test_trace_preservation(self, warm_atom, rng):
         for _ in range(5):
-            drive = random_drive(rng, 240e3, 60e3)
-            liou = build_liouvillian(warm_atom, drive, input_fields(drive))
-            top = TRACE_ROW @ liou.generator
-            assert np.max(np.abs(top)) < 1e-12 * np.max(np.abs(liou.generator))
+            gen = circular_generator(warm_atom, random_drive(rng, 240e3, 60e3))
+            top = TRACE_ROW @ gen
+            assert np.max(np.abs(top)) < 1e-12 * np.max(np.abs(gen))
 
     def test_zero_drive_annihilates_unpolarized(self, cold_atom):
-        liou = build_liouvillian(
-            cold_atom, DriveConfig(0, 0, 0, 0), FieldPair(0j, 0j)
-        )
-        assert np.max(np.abs(liou.generator @ UNPOLARIZED.reshape(-1))) < 1e-9
+        gen = circular_generator(cold_atom, DriveConfig(0, 0, 0, 0))
+        assert np.max(np.abs(gen @ UNPOLARIZED.reshape(-1))) < 1e-9
 
     def test_designed_decay_rates(self, cold_atom):
         # With fields and B off the generator must decay the circular
         # ground population difference at gamma_pop, the ground coherence
         # at gamma_coh, optical coherences at (gamma_e + gamma_coh)/2 and
         # the excited coherence at gamma_e.
-        gen = build_liouvillian(
-            cold_atom, DriveConfig(0, 0, 0, 0), FieldPair(0j, 0j)
-        ).generator
+        gen = circular_generator(cold_atom, DriveConfig(0, 0, 0, 0))
 
         def decay_of(matrix, element):
-            out = (gen @ matrix.reshape(-1)).reshape(4, 4)
-            return -out[element].real / matrix[element].real
+            return -apply(gen, matrix)[element].real / matrix[element].real
 
         popdiff = np.diag([0, 0, 1.0, -1.0]).astype(complex)
         out = gen @ popdiff.reshape(-1)
@@ -120,10 +135,7 @@ class TestGenerator:
 
     def test_linear_circular_unitary_equivalence(self, warm_atom, rng):
         drive = random_drive(rng, 240e3, 60e3)
-        fields = input_fields(drive)
-        gen_c = circular_template(warm_atom).generator(
-            drive.delta_b, fields.omega1, fields.omega2
-        )
+        gen_c = circular_generator(warm_atom, drive)
         gen_l = linear_template(warm_atom).generator(
             drive.delta_b, drive.omega_c, drive.probe_amplitude
         )
@@ -133,29 +145,19 @@ class TestGenerator:
         )
 
     def test_rejects_coherence_faster_than_population(self):
-        with pytest.raises(ValueError) as err:
+        # The decay model needs a non-negative extra dephasing rate, so
+        # the atom itself refuses gamma_coh < gamma_pop.
+        with pytest.raises(ValueError, match="gamma_coh .* >= gamma_pop"):
             AtomParams.from_hz(6e6, 20, 10, 800e6, 0.15, 0.075)
-            build_liouvillian(
-                AtomParams.from_hz(6e6, 20, 10, 800e6, 0.15, 0.075),
-                DriveConfig(0, 0, 0, 0),
-                FieldPair(0j, 0j),
-            )
-        message = str(err.value)
-        assert "gamma_coh" in message and "gamma_pop" in message
 
 
 class TestSteadyState:
     def test_zero_drive(self, cold_atom):
-        liou = build_liouvillian(
-            cold_atom, DriveConfig(0, 0, 0, 0), FieldPair(0j, 0j)
-        )
-        rho = steady_state(liou)
-        assert np.allclose(rho.rho, UNPOLARIZED, atol=1e-12)
+        gen = circular_generator(cold_atom, DriveConfig(0, 0, 0, 0))
+        assert np.allclose(steady_state_matrix(gen), UNPOLARIZED, atol=1e-12)
 
     def test_unique_kernel_at_cold_preset(self, cold_atom, cold_drive):
-        liou = build_liouvillian(cold_atom, cold_drive,
-                                 input_fields(cold_drive))
-        assert nullspace_dimension(liou.generator) == 1
+        assert nullspace_dimension(circular_generator(cold_atom, cold_drive)) == 1
 
     def test_degenerate_kernel_rejected(self):
         # A purely Hamiltonian generator conserves every population, so
@@ -170,81 +172,71 @@ class TestSteadyState:
         # Independent oracle: explicit RK4 integration to 50 ground
         # lifetimes on a rate-compressed system.
         for _ in range(3):
-            drive = random_drive(rng, 300.0, 80.0)
-            liou = build_liouvillian(soft_atom, drive, input_fields(drive))
-            lam = np.max(np.abs(np.linalg.eigvals(liou.generator)))
+            gen = circular_generator(soft_atom, random_drive(rng, 300.0, 80.0))
+            lam = np.max(np.abs(np.linalg.eigvals(gen)))
             t_final = 50.0 / min(soft_atom.gamma_pop, soft_atom.gamma_coh)
-            evolved = time_evolve(UNPOLARIZED, liou, t_final, 2.0 / lam)
-            assert np.max(np.abs(evolved.rho - steady_state(liou).rho)) < 1e-6
+            evolved = time_evolve(UNPOLARIZED, gen, t_final, 2.0 / lam)
+            assert np.max(np.abs(evolved - steady_state_matrix(gen))) < 1e-6
 
     def test_validity_on_random_drives(self, warm_atom, rng):
         for _ in range(10):
-            drive = random_drive(rng, 240e3, 60e3)
-            liou = build_liouvillian(warm_atom, drive, input_fields(drive))
-            rho = steady_state(liou)
-            assert np.max(np.abs(rho.rho - rho.rho.conj().T)) < 1e-12
-            assert np.trace(rho.rho).real == pytest.approx(1.0, abs=1e-10)
-            assert np.linalg.eigvalsh(rho.rho).min() > -1e-9
+            gen = circular_generator(warm_atom, random_drive(rng, 240e3, 60e3))
+            rho = steady_state_matrix(gen)
+            assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+            assert np.linalg.eigvalsh(rho).min() > -1e-9
 
     def test_phase_gauge_invariance(self, cold_atom, rng):
         drive = random_drive(rng, 20e3, 5e3)
+        gen = circular_template(cold_atom).generator
         fields = input_fields(drive)
         gauge = np.exp(1j * 0.77)
-        rho_a = steady_state(
-            build_liouvillian(cold_atom, drive, fields)
-        ).rho
-        rho_b = steady_state(
-            build_liouvillian(
-                cold_atom, drive,
-                FieldPair(fields.omega1 * gauge, fields.omega2 * gauge),
-            )
-        ).rho
+        rho_a = steady_state_matrix(
+            gen(drive.delta_b, fields.omega1, fields.omega2)
+        )
+        rho_b = steady_state_matrix(
+            gen(drive.delta_b, fields.omega1 * gauge, fields.omega2 * gauge)
+        )
         assert np.max(np.abs(np.diag(rho_a) - np.diag(rho_b))) < 1e-12
         assert np.max(np.abs(np.abs(rho_a) - np.abs(rho_b))) < 1e-12
 
 
 class TestTimeEvolution:
     def test_zero_time_identity(self, soft_atom, soft_drive):
-        liou = build_liouvillian(soft_atom, soft_drive,
-                                 input_fields(soft_drive))
-        out = time_evolve(UNPOLARIZED, liou, 0.0, 1e-6)
-        assert np.allclose(out.rho, UNPOLARIZED, atol=1e-15)
+        gen = circular_generator(soft_atom, soft_drive)
+        out = time_evolve(UNPOLARIZED, gen, 0.0, 1e-6)
+        assert np.allclose(out, UNPOLARIZED, atol=1e-15)
 
     def test_ground_relaxation_rate(self, soft_atom):
         # Zero drive, start in one circular ground state: populations
         # relax toward (1/2, 1/2) exponentially at gamma_pop.
-        liou = build_liouvillian(
-            soft_atom, DriveConfig(0, 0, 0, 0), FieldPair(0j, 0j)
-        )
+        gen = circular_generator(soft_atom, DriveConfig(0, 0, 0, 0))
         rho0 = np.diag([0, 0, 1.0, 0.0]).astype(complex)
         t = 0.35 / soft_atom.gamma_pop
-        out = time_evolve(rho0, liou, t, 2e-5)
+        out = time_evolve(rho0, gen, t, 2e-5)
         expected = 0.5 + 0.5 * np.exp(-soft_atom.gamma_pop * t)
-        assert out.rho[2, 2].real == pytest.approx(expected, rel=1e-6)
+        assert out[2, 2].real == pytest.approx(expected, rel=1e-6)
 
     def test_fourth_order_convergence(self, soft_atom, soft_drive):
-        liou = build_liouvillian(soft_atom, soft_drive,
-                                 input_fields(soft_drive))
-        lam = np.max(np.abs(np.linalg.eigvals(liou.generator)))
+        gen = circular_generator(soft_atom, soft_drive)
+        lam = np.max(np.abs(np.linalg.eigvals(gen)))
         t = 20.0 / lam
-        ref = evolve_expm(UNPOLARIZED, liou, t).rho
-        err_h = np.max(np.abs(time_evolve(UNPOLARIZED, liou, t, 1.0 / lam).rho - ref))
-        err_h2 = np.max(np.abs(time_evolve(UNPOLARIZED, liou, t, 0.5 / lam).rho - ref))
+        ref = evolve_expm(UNPOLARIZED, gen, t)
+        err_h = np.max(np.abs(time_evolve(UNPOLARIZED, gen, t, 1.0 / lam) - ref))
+        err_h2 = np.max(np.abs(time_evolve(UNPOLARIZED, gen, t, 0.5 / lam) - ref))
         assert 10.0 < err_h / err_h2 < 30.0
 
     def test_instability_reported(self, soft_atom, soft_drive):
-        liou = build_liouvillian(soft_atom, soft_drive,
-                                 input_fields(soft_drive))
+        gen = circular_generator(soft_atom, soft_drive)
         with pytest.raises(SimulationError, match="dt"):
-            time_evolve(UNPOLARIZED, liou, 0.05, 1e-3)
+            time_evolve(UNPOLARIZED, gen, 0.05, 1e-3)
 
     def test_expm_agrees_with_rk4(self, soft_atom, soft_drive):
-        liou = build_liouvillian(soft_atom, soft_drive,
-                                 input_fields(soft_drive))
-        lam = np.max(np.abs(np.linalg.eigvals(liou.generator)))
+        gen = circular_generator(soft_atom, soft_drive)
+        lam = np.max(np.abs(np.linalg.eigvals(gen)))
         t = 5.0 / soft_atom.gamma_pop
-        a = time_evolve(UNPOLARIZED, liou, t, 1.0 / lam).rho
-        b = evolve_expm(UNPOLARIZED, liou, t).rho
+        a = time_evolve(UNPOLARIZED, gen, t, 1.0 / lam)
+        b = evolve_expm(UNPOLARIZED, gen, t)
         assert np.max(np.abs(a - b)) < 1e-8
 
 

@@ -11,7 +11,6 @@ from .core import (
     AtomParams,
     Curve,
     DriveConfig,
-    FieldPair,
     SimulationError,
     hz_to_angular,
     input_fields,
@@ -57,7 +56,6 @@ __all__ = [
     "AtomParams",
     "Curve",
     "DriveConfig",
-    "FieldPair",
     "PropagationError",
     "PulseSpec",
     "SimulationError",

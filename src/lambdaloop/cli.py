@@ -44,8 +44,6 @@ ATOM_KEYS = ("gamma_e_hz", "gamma_pop_hz", "gamma_coh_hz", "delta_exc_hz",
 DRIVE_KEYS = ("delta_b_hz", "phi_rad", "omega_c_hz", "omega_p_hz",
               "delta_probe_hz")
 SWEEP_KEYS = ("sweep_start", "sweep_stop", "points")
-PULSE_KEYS = ("fwhm_s", "peak_omega_p_hz", "carrier_detuning_hz",
-              "time_window_s", "n_samples")
 
 FLOAT_KEYS = set(ATOM_KEYS) | set(DRIVE_KEYS) | {
     "sweep_start", "sweep_stop", "fwhm_s", "peak_omega_p_hz",
@@ -53,14 +51,16 @@ FLOAT_KEYS = set(ATOM_KEYS) | set(DRIVE_KEYS) | {
 }
 INT_KEYS = {"points", "steps", "n_samples"}
 
-# AtomParams / DriveConfig field -> the config key that sets it, so that a
-# rejected value is reported at its own line.
+# AtomParams / DriveConfig / PulseSpec field -> the config key that sets
+# it, so that a rejected value is reported at its own line.
 FIELD_KEYS = {
     "gamma_e": "gamma_e_hz", "gamma_pop": "gamma_pop_hz",
     "gamma_coh": "gamma_coh_hz", "delta_exc": "delta_exc_hz",
     "optical_depth": "od", "cell_length": "cell_length_m",
     "delta_b": "delta_b_hz", "phi": "phi_rad", "omega_c": "omega_c_hz",
     "omega_p": "omega_p_hz", "delta_probe": "delta_probe_hz",
+    "fwhm": "fwhm_s", "time_window": "time_window_s",
+    "n_samples": "n_samples",
 }
 STRING_KEYS = {"mode", "preset", "out"}
 ALL_KEYS = FLOAT_KEYS | INT_KEYS | STRING_KEYS
@@ -92,11 +92,7 @@ class RunConfig:
     sweep_start: float | None = None
     sweep_stop: float | None = None
     points: int | None = None
-    fwhm_s: float | None = None
-    peak_omega_p_hz: float | None = None
-    carrier_detuning_hz: float = 0.0
-    time_window_s: float | None = None
-    n_samples: int = 1024
+    pulse: PulseSpec | None = None
     raw: dict = field(default_factory=dict, compare=False)
 
 
@@ -116,6 +112,11 @@ def _parse_lines(text: str) -> dict:
             raise ConfigError(f"line {number}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"line {number}: empty value for {key!r}")
+        if key in entries:
+            raise ConfigError(
+                f"line {number}: {key!r} is already set on line "
+                f"{entries[key][1]}"
+            )
         entries[key] = (value, number)
     return entries
 
@@ -216,9 +217,18 @@ def _resolve(entries: dict) -> RunConfig:
             err("points", f"sweep modes need points >= 2, got {values['points']}")
         if not values["sweep_stop"] > values["sweep_start"]:
             err("sweep_stop", "sweep_stop must exceed sweep_start")
+    pulse = None
     if mode == "pulse":
-        if values["fwhm_s"] <= 0:
-            err("fwhm_s", "fwhm_s must be positive")
+        try:
+            pulse = PulseSpec(
+                fwhm=values["fwhm_s"],
+                peak_omega_p=hz_to_angular(values["peak_omega_p_hz"]),
+                carrier_detuning=hz_to_angular(values["carrier_detuning_hz"]),
+                time_window=values.get("time_window_s"),
+                n_samples=values["n_samples"],
+            )
+        except ValueError as exc:
+            err_fields(exc, "pulse")
 
     return RunConfig(
         mode=mode,
@@ -230,11 +240,7 @@ def _resolve(entries: dict) -> RunConfig:
         sweep_start=values.get("sweep_start"),
         sweep_stop=values.get("sweep_stop"),
         points=values.get("points"),
-        fwhm_s=values.get("fwhm_s"),
-        peak_omega_p_hz=values.get("peak_omega_p_hz"),
-        carrier_detuning_hz=values.get("carrier_detuning_hz", 0.0),
-        time_window_s=values.get("time_window_s"),
-        n_samples=values.get("n_samples", 1024),
+        pulse=pulse,
         raw=dict(values),
     )
 
@@ -292,9 +298,8 @@ def _sweep_grid(config: RunConfig, endpoint: bool) -> np.ndarray:
 # CSV header and rows.
 
 def _steady(config: RunConfig, diagnostics: dict):
-    fields = input_fields(config.drive)
     rho = steady_state_matrix(circular_template(config.atom).generator(
-        config.drive.delta_b, fields.omega1, fields.omega2
+        config.drive.delta_b, *input_fields(config.drive)
     ))
     rows = [[bra, ket, float(rho[i, j].real), float(rho[i, j].imag)]
             for i, bra in enumerate(CIRCULAR_LABELS)
@@ -334,21 +339,14 @@ def _spectrum(config: RunConfig, diagnostics: dict):
 
 
 def _pulse(config: RunConfig, diagnostics: dict):
-    pulse = PulseSpec(
-        fwhm=config.fwhm_s,
-        peak_omega_p=hz_to_angular(config.peak_omega_p_hz),
-        carrier_detuning=hz_to_angular(config.carrier_detuning_hz),
-        time_window=config.time_window_s,
-        n_samples=config.n_samples,
-    )
     curve, fractional_delay = pulse_response(
-        config.atom, config.drive, pulse, config.n_steps
+        config.atom, config.drive, config.pulse, config.n_steps
     )
     diagnostics["fractional_delay"] = fractional_delay
     out = curve.ys
     return (["time_s", "envelope_in_au", "envelope_out_re_au",
              "envelope_out_im_au", "envelope_out_abs_au"],
-            zip(curve.xs.tolist(), pulse.envelope.tolist(),
+            zip(curve.xs.tolist(), config.pulse.envelope.tolist(),
                 out.real.tolist(), out.imag.tolist(), np.abs(out).tolist()))
 
 

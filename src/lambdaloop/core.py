@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -58,6 +58,14 @@ def angular_to_hz(value: float) -> float:
     return value / TWO_PI
 
 
+def _require_finite(config) -> None:
+    """Raise ValueError naming the first float field that is NaN or inf."""
+    for f in dataclass_fields(config):
+        value = getattr(config, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AtomParams:
     """Fixed medium properties (all rates angular, rad/s)."""
@@ -70,6 +78,7 @@ class AtomParams:
     cell_length: float    # meters
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("gamma_e", "gamma_pop", "gamma_coh"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -125,6 +134,7 @@ class DriveConfig:
     delta_probe: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("omega_c", "omega_p"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
@@ -147,43 +157,28 @@ class DriveConfig:
         return self.omega_p * complex(math.cos(self.phi), math.sin(self.phi))
 
 
-@dataclass(frozen=True)
-class FieldPair:
-    """Complex circular Rabi amplitudes (Omega_1, Omega_2) at one z."""
-
-    omega1: complex
-    omega2: complex
-
-    def __post_init__(self):
-        for value in (self.omega1, self.omega2):
-            if not (np.isfinite(value.real) and np.isfinite(value.imag)):
-                raise ValueError("field amplitudes must be finite")
-
-    @property
-    def total_power(self) -> float:
-        return abs(self.omega1) ** 2 + abs(self.omega2) ** 2
-
-
-def to_circular(omega_c: complex, omega_p: complex) -> FieldPair:
-    """Linear (control, probe) amplitudes -> circular pair.
+def to_circular(omega_c: complex, omega_p: complex) -> np.ndarray:
+    """Linear (control, probe) amplitudes -> circular pair (Omega_1, Omega_2).
 
     Omega_1 = (Omega_c + Omega_p)/sqrt(2), Omega_2 = (Omega_c - Omega_p)/sqrt(2).
     """
-    return FieldPair(
-        omega1=(omega_c + omega_p) / SQRT2,
-        omega2=(omega_c - omega_p) / SQRT2,
-    )
+    return np.array([(omega_c + omega_p) / SQRT2,
+                     (omega_c - omega_p) / SQRT2], dtype=complex)
 
 
-def to_linear(fields: FieldPair) -> tuple[complex, complex]:
-    """Circular pair -> linear (control, probe) amplitudes."""
-    omega_c = (fields.omega1 + fields.omega2) / SQRT2
-    omega_p = (fields.omega1 - fields.omega2) / SQRT2
-    return omega_c, omega_p
+def to_linear(fields) -> np.ndarray:
+    """Circular pair (Omega_1, Omega_2) -> linear (control, probe).
+
+    Computed in the elements' own arithmetic: Python complexes and numpy
+    scalars round the division by sqrt(2) differently.
+    """
+    omega1, omega2 = fields
+    return np.array([(omega1 + omega2) / SQRT2,
+                     (omega1 - omega2) / SQRT2], dtype=complex)
 
 
-def input_fields(drive: DriveConfig) -> FieldPair:
-    """Circular amplitudes at the cell input for a drive configuration."""
+def input_fields(drive: DriveConfig) -> np.ndarray:
+    """Circular amplitudes (Omega_1, Omega_2) at the cell input."""
     return to_circular(complex(drive.omega_c), drive.probe_amplitude)
 
 

@@ -165,6 +165,25 @@ def nullspace_dimension(generator: np.ndarray, rel_tol: float = 1e-11) -> int:
     return int(np.sum(sv < rel_tol * sv[0]))
 
 
+def refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b by LU plus one step of iterative refinement."""
+    x = np.linalg.solve(a, b)
+    x += np.linalg.solve(a, b - a @ x)
+    return x
+
+
+def _unsolved(generator: np.ndarray, message: str) -> SteadyStateError:
+    """The error for a failed steady-state solve: a degenerate kernel
+    (found with one SVD) if that is the cause, else message."""
+    kernel = nullspace_dimension(generator)
+    if kernel > 1:
+        return SteadyStateError(
+            "degenerate steady state: generator kernel has dimension "
+            f"{kernel}"
+        )
+    return SteadyStateError(message)
+
+
 def steady_state_matrix(generator: np.ndarray) -> np.ndarray:
     """Unique unit-trace kernel element of the generator as a 4x4 matrix.
 
@@ -174,6 +193,8 @@ def steady_state_matrix(generator: np.ndarray) -> np.ndarray:
     checked.
     """
     scale = np.max(np.abs(generator))
+    if not math.isfinite(scale):
+        raise SteadyStateError("generator has non-finite entries")
     if scale == 0.0:
         raise SteadyStateError("zero generator has no unique steady state")
     a = generator.copy()
@@ -181,28 +202,20 @@ def steady_state_matrix(generator: np.ndarray) -> np.ndarray:
     b = np.zeros(DIM * DIM, dtype=complex)
     b[0] = scale
     try:
-        vec = np.linalg.solve(a, b)
-        vec += np.linalg.solve(a, b - a @ vec)
+        vec = refined_solve(a, b)
     except np.linalg.LinAlgError as exc:
-        if nullspace_dimension(generator) > 1:
-            raise SteadyStateError(
-                "degenerate steady state: generator kernel has dimension "
-                f"{nullspace_dimension(generator)}"
-            ) from exc
-        raise SteadyStateError(f"steady-state solve failed: {exc}") from exc
+        raise _unsolved(
+            generator, f"steady-state solve failed: {exc}"
+        ) from exc
 
     gen_norm = np.linalg.norm(generator)
     residual = np.linalg.norm(generator @ vec)
     if not np.isfinite(residual) or residual > STEADY_RESIDUAL_TOL * gen_norm:
-        if nullspace_dimension(generator) > 1:
-            raise SteadyStateError(
-                "degenerate steady state: generator kernel has dimension "
-                f"{nullspace_dimension(generator)}"
-            )
-        raise SteadyStateError(
+        raise _unsolved(
+            generator,
             f"steady-state residual {residual:.3e} exceeds "
             f"{STEADY_RESIDUAL_TOL:.0e} * ||generator|| = "
-            f"{STEADY_RESIDUAL_TOL * gen_norm:.3e}"
+            f"{STEADY_RESIDUAL_TOL * gen_norm:.3e}",
         )
 
     rho = vec.reshape(DIM, DIM)

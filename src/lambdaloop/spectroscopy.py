@@ -51,10 +51,16 @@ from .liouvillian import (
     SteadyStateError,
     circular_template,
     linear_template,
-    rk4_step,
+    refined_solve,
     steady_state_matrix,
 )
-from .propagation import calibrate_kappa, field_derivative, transmission
+from .propagation import (
+    calibrate_kappa,
+    carrier_stage,
+    field_derivative,
+    transmission,
+    z_march,
+)
 
 #: Overall sign making Im(chi) absorptive and slow light a rising slope.
 CHI_SIGN = -1.0
@@ -139,8 +145,7 @@ def _solve_sideband(gen, delta_angular, seed):
         seed = seed.copy()
         seed[0] = 0.0
     try:
-        vec = np.linalg.solve(a, seed)
-        vec += np.linalg.solve(a, seed - a @ vec)
+        vec = refined_solve(a, seed)
     except np.linalg.LinAlgError as exc:
         raise SteadyStateError(
             f"sideband response solve failed at delta = "
@@ -361,7 +366,8 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
     modulation populates it (equal amplitudes).  At each integrator
     stage the carrier steady state feeds the carrier derivatives and the
     two first-order responses.  Returns the output probe-mode modulation
-    per unit input, one complex value per entry of deltas_hz.
+    per unit input, one complex value per entry of deltas_hz.  A failed
+    carrier solve or a diverging state raises PropagationError naming z.
     """
     deltas = np.atleast_1d(np.asarray(deltas_hz, dtype=float))
     kappa = calibrate_kappa(params)
@@ -371,19 +377,17 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
     template = circular_template(params)
     up1, dn1 = template.drive_a, template.drive_a_conj
     up2, dn2 = template.drive_b, template.drive_b_conj
-    length = params.cell_length
-    h = length / n_steps
-    fields0 = input_fields(drive)
     sb = 1.0 / math.sqrt(2.0)
+    state_in = np.array([*input_fields(drive), sb, -sb, sb, -sb],
+                        dtype=complex)
 
     out = np.empty(deltas.shape, dtype=complex)
     for i, d_hz in enumerate(deltas):
         delta = hz_to_angular(float(d_hz))
 
-        def rhs(state, _z):
-            f1, f2, e1, e2, m1c, m2c = state
-            gen = template.generator(drive.delta_b, f1, f2)
-            rho = steady_state_matrix(gen)
+        def rhs(state, z):
+            _, _, e1, e2, m1c, m2c = state
+            gen, rho = carrier_stage(template, drive.delta_b, state, z)
             vec = rho.reshape(-1)
             low = _solve_sideband(
                 gen, delta,
@@ -401,12 +405,7 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
                 np.conj(field_derivative(kappa, high)),
             ])
 
-        state = np.array(
-            [fields0.omega1, fields0.omega2, sb, -sb, sb, -sb],
-            dtype=complex,
-        )
-        for k in range(n_steps):
-            state = rk4_step(rhs, state, k * h, h)
+        state = z_march(rhs, state_in, params.cell_length, n_steps)[-1]
         out[i] = (state[2] - state[3]) / math.sqrt(2.0)
     return out
 

@@ -13,12 +13,10 @@ from lambdaloop.liouvillian import circular_template
 
 def circular_generator(params, drive, fields=None):
     """16x16 circular-basis generator at a drive's input fields, or at the
-    given FieldPair."""
+    given (Omega_1, Omega_2) pair."""
     if fields is None:
         fields = input_fields(drive)
-    return circular_template(params).generator(
-        drive.delta_b, fields.omega1, fields.omega2
-    )
+    return circular_template(params).generator(drive.delta_b, *fields)
 
 
 @pytest.fixture(scope="session")

@@ -71,12 +71,38 @@ def test_out_of_range_value_reports_line():
     ("cell_length_m", "0", "cell_length must be > 0"),
     ("omega_p_hz", "-3", "omega_p must be non-negative"),
     ("gamma_pop_hz", "20", "gamma_coh .* >= gamma_pop"),
-], ids=["od", "cell_length_m", "omega_p_hz", "gamma_pop_hz"])
+    ("omega_c_hz", "nan", "omega_c must be finite"),
+    ("delta_b_hz", "inf", "delta_b must be finite"),
+    ("gamma_e_hz", "nan", "gamma_e must be finite"),
+], ids=["od", "cell_length_m", "omega_p_hz", "gamma_pop_hz",
+        "omega_c_hz-nan", "delta_b_hz-inf", "gamma_e_hz-nan"])
 def test_rejected_override_reports_its_line(key, value, message):
     # The other atom and drive keys come from the preset, which has no
     # line; the error must point at the override that broke it.
     text = f"mode = transmit\npreset = fig3-cold\n{key} = {value}\n"
     with pytest.raises(ConfigError, match=f"^line 3: .*{message}"):
+        parse_config(text)
+
+
+def test_repeated_key_names_both_lines():
+    text = "mode = transmit\npreset = fig3-cold\nod = 0\nod = 0.15\n"
+    with pytest.raises(ConfigError,
+                       match="^line 4: 'od' is already set on line 3$"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("pulse_lines, message", [
+    ("n_samples = 100\nfwhm_s = 0.005\n", "n_samples must be a power of two"),
+    ("fwhm_s = -0.005\n", "fwhm must be positive"),
+    ("time_window_s = 0.01\nfwhm_s = 0.005\n",
+     r"time_window must be at least 8 \* fwhm"),
+], ids=["n_samples", "fwhm_s", "time_window_s"])
+def test_pulse_value_reports_line(pulse_lines, message):
+    # The rejected key sits on line 3.
+    text = ("mode = pulse\npreset = fig4-warm\n" + pulse_lines
+            + "peak_omega_p_hz = 60e3\n")
+    with pytest.raises(ConfigError,
+                       match=f"^line 3: invalid pulse parameters: {message}"):
         parse_config(text)
 
 

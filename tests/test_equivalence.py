@@ -43,9 +43,8 @@ PRESETS = ("fig3-cold", "fig4-warm")
 
 
 def _time_evolve_soft():
-    fields = input_fields(SOFT_DRIVE)
     gen = circular_template(SOFT_ATOM).generator(
-        SOFT_DRIVE.delta_b, fields.omega1, fields.omega2
+        SOFT_DRIVE.delta_b, *input_fields(SOFT_DRIVE)
     )
     # 200 full steps plus a shortened last one.
     return time_evolve(UNPOLARIZED, gen, 0.02005, 1e-4)

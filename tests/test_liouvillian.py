@@ -5,7 +5,6 @@ from conftest import circular_generator
 from lambdaloop import (
     AtomParams,
     DriveConfig,
-    FieldPair,
     SimulationError,
     SteadyStateError,
     evolve_expm,
@@ -69,7 +68,7 @@ class TestHamiltonian:
         # Hermitian derivatives, at any complex field amplitudes.
         for _ in range(10):
             drive = random_drive(rng, 20e3, 5e3)
-            fields = FieldPair(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
+            fields = rng.normal(size=2) + 1j * rng.normal(size=2)
             gen = circular_generator(cold_atom, drive, fields)
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             out = apply(gen, a + a.conj().T)
@@ -168,6 +167,17 @@ class TestSteadyState:
         with pytest.raises(SteadyStateError, match="degenerate"):
             steady_state_matrix(gen)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_generator_rejected(self, cold_atom, cold_drive, bad):
+        # One bad entry, or all of them: a typed error, not the SVD's
+        # LinAlgError.
+        one = circular_generator(cold_atom, cold_drive)
+        one[5, 7] = bad
+        for gen in (one, np.full((16, 16), bad + 0j)):
+            with pytest.raises(SteadyStateError,
+                               match="generator has non-finite entries"):
+                steady_state_matrix(gen)
+
     def test_matches_long_time_evolution(self, soft_atom, rng):
         # Independent oracle: explicit RK4 integration to 50 ground
         # lifetimes on a rate-compressed system.
@@ -191,12 +201,8 @@ class TestSteadyState:
         gen = circular_template(cold_atom).generator
         fields = input_fields(drive)
         gauge = np.exp(1j * 0.77)
-        rho_a = steady_state_matrix(
-            gen(drive.delta_b, fields.omega1, fields.omega2)
-        )
-        rho_b = steady_state_matrix(
-            gen(drive.delta_b, fields.omega1 * gauge, fields.omega2 * gauge)
-        )
+        rho_a = steady_state_matrix(gen(drive.delta_b, *fields))
+        rho_b = steady_state_matrix(gen(drive.delta_b, *(fields * gauge)))
         assert np.max(np.abs(np.diag(rho_a) - np.diag(rho_b))) < 1e-12
         assert np.max(np.abs(np.abs(rho_a) - np.abs(rho_b))) < 1e-12
 

@@ -22,6 +22,7 @@ from lambdaloop import (
     SweepSpec,
     WeakProbeWarning,
     bare_transition_transmission,
+    hz_to_angular,
     input_fields,
     preset_atom,
     preset_drive,
@@ -29,6 +30,7 @@ from lambdaloop import (
     sideband_transfer,
     time_evolve,
     transmission,
+    weak_probe_response,
 )
 from lambdaloop.liouvillian import circular_template
 
@@ -58,17 +60,24 @@ def _bare_transition(name):
     return bare_transition_transmission(preset_atom(name), n_steps=64)
 
 
-def _sideband_transfer_warm():
+def _sideband_transfer(name):
     return sideband_transfer(
-        preset_atom("fig4-warm"), preset_drive("fig4-warm"),
-        [-5.0, 0.0, 5.0], 32,
+        preset_atom(name), preset_drive(name), [-5.0, 0.0, 5.0], 32,
     )
 
 
-def _refractive_spectrum_warm():
-    drive = replace(preset_drive("fig4-warm"), phi=0.35)
+def _weak_probe_warm():
+    # A non-zero detuning runs the second-harmonic truncation solves.
+    drive = replace(preset_drive("fig4-warm"), delta_probe=hz_to_angular(3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakProbeWarning)
+        return weak_probe_response(preset_atom("fig4-warm"), drive)
+
+
+def _refractive_spectrum(name):
+    drive = replace(preset_drive(name), phi=0.35)
     spec = SweepSpec("probe_detuning", (-10.0, -5.0, 0.0, 5.0, 10.0), drive,
-                     preset_atom("fig4-warm"))
+                     preset_atom(name))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WeakProbeWarning)
         return refractive_spectrum(spec).ys
@@ -78,10 +87,13 @@ CASES = {
     "time_evolve_soft": _time_evolve_soft,
     **{f"transmission_{name}_64": (lambda n=name: _transmission(n))
        for name in PRESETS},
-    "sideband_transfer_warm_32": _sideband_transfer_warm,
+    "sideband_transfer_warm_32": lambda: _sideband_transfer("fig4-warm"),
     **{f"bare_transition_{name}_64": (lambda n=name: _bare_transition(n))
        for name in PRESETS},
-    "refractive_spectrum_warm_5": _refractive_spectrum_warm,
+    "refractive_spectrum_warm_5": lambda: _refractive_spectrum("fig4-warm"),
+    "sideband_transfer_cold_32": lambda: _sideband_transfer("fig3-cold"),
+    "weak_probe_warm_3hz": _weak_probe_warm,
+    "refractive_spectrum_cold_5": lambda: _refractive_spectrum("fig3-cold"),
 }
 
 

@@ -60,7 +60,8 @@ FIELD_KEYS = {
     "delta_b": "delta_b_hz", "phi": "phi_rad", "omega_c": "omega_c_hz",
     "omega_p": "omega_p_hz", "delta_probe": "delta_probe_hz",
     "fwhm": "fwhm_s", "time_window": "time_window_s",
-    "n_samples": "n_samples",
+    "n_samples": "n_samples", "peak_omega_p": "peak_omega_p_hz",
+    "carrier_detuning": "carrier_detuning_hz",
 }
 STRING_KEYS = {"mode", "preset", "out"}
 ALL_KEYS = FLOAT_KEYS | INT_KEYS | STRING_KEYS

@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -44,6 +45,10 @@ GROUND_MIX = np.array(
 )
 
 
+# Eigenvalues of a complex Hermitian matrix (divide and conquer), bound once.
+_heevd = get_lapack_funcs("heevd", (np.empty((1, 1), dtype=complex),))
+
+
 class SimulationError(Exception):
     """Base class for solver and propagation failures."""
 
@@ -53,13 +58,8 @@ def hz_to_angular(value_hz: float) -> float:
     return TWO_PI * value_hz
 
 
-def angular_to_hz(value: float) -> float:
-    """Angular frequency in rad/s -> ordinary frequency in Hz."""
-    return value / TWO_PI
-
-
 def _require_finite(config) -> None:
-    """Raise ValueError naming the first float field that is NaN or inf."""
+    """Raise ValueError naming the first numeric field that is NaN or inf."""
     for f in dataclass_fields(config):
         value = getattr(config, f.name)
         if not math.isfinite(value):
@@ -185,18 +185,23 @@ def input_fields(drive: DriveConfig) -> np.ndarray:
 def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise ValueError unless rho is a valid physical state.
 
-    Checks Hermiticity (1e-12 element-wise), unit trace (1e-10) and the
-    numerical positivity floor (eigenvalues >= -1e-9).
+    Checks that every entry is finite, then Hermiticity (1e-12
+    element-wise), unit trace (1e-10) and the numerical positivity floor
+    (eigenvalues >= -1e-9).
     """
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix has non-finite entries")
+    herm = np.abs(rho - rho.conj().T).max()
     if herm > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
-    tr = np.trace(rho)
+    tr = rho.trace()
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    eigs, _, info = _heevd(0.5 * (rho + rho.conj().T), compute_v=0, lower=1)
+    if info != 0:
+        raise ValueError(f"eigenvalue solver failed (LAPACK info {info})")
     if eigs.min() < EIGENVALUE_FLOOR:
         raise ValueError(f"negative eigenvalue {eigs.min():.3e} below floor")
 

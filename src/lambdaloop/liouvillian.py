@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, get_lapack_funcs
 
 from .core import (
     AtomParams,
@@ -63,6 +63,11 @@ COUPLING_PROBE = _op(1, 3) + _op(0, 2)           # |2><Y| + |1><X|
 ZEEMAN_CIRCULAR = 0.5 * (_op(2, 2) - _op(3, 3))
 ZEEMAN_LINEAR = 0.5 * (_op(2, 3) + _op(3, 2))
 UPPER_PROJECTOR = _op(0, 0)
+
+# Complex LU factorisation and back-substitution, bound once.
+_getrf, _getrs = get_lapack_funcs(
+    ("getrf", "getrs"), (np.empty((1, 1), dtype=complex),)
+)
 
 #: Row functional extracting the trace from a row-major vectorized state.
 TRACE_ROW = np.eye(DIM, dtype=complex).reshape(-1)
@@ -107,52 +112,52 @@ def jump_operators(params: AtomParams, basis: str = "circular") -> list:
 class GeneratorTemplate:
     """Generator pieces linear in (delta_b, field, conj(field)).
 
-    Assembling from the pieces keeps per-point cost low inside sweeps and
-    propagation loops, where only the drive terms change.
+    basis stacks the six (16, 16) pieces in the order static, zeeman,
+    drive_a, drive_a_conj, drive_b, drive_b_conj; assembling a generator
+    is one product of their coefficients with the flattened stack, which
+    keeps per-point cost low inside sweeps and propagation loops.
     """
 
-    static: np.ndarray
-    zeeman: np.ndarray
-    drive_a: np.ndarray
-    drive_a_conj: np.ndarray
-    drive_b: np.ndarray
-    drive_b_conj: np.ndarray
+    basis: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "_flat", self.basis.reshape(6, -1))
+
+    static = property(lambda self: self.basis[0])
+    zeeman = property(lambda self: self.basis[1])
+    drive_a = property(lambda self: self.basis[2])
+    drive_a_conj = property(lambda self: self.basis[3])
+    drive_b = property(lambda self: self.basis[4])
+    drive_b_conj = property(lambda self: self.basis[5])
 
     def generator(self, delta_b: float, amp_a: complex, amp_b: complex) -> np.ndarray:
-        return (
-            self.static
-            + delta_b * self.zeeman
-            + amp_a * self.drive_a
-            + np.conj(amp_a) * self.drive_a_conj
-            + amp_b * self.drive_b
-            + np.conj(amp_b) * self.drive_b_conj
-        )
+        coeffs = np.array([1.0, delta_b, amp_a, amp_a.conjugate(),
+                           amp_b, amp_b.conjugate()], dtype=complex)
+        return (coeffs @ self._flat).reshape(DIM * DIM, DIM * DIM)
+
+
+def _template(params: AtomParams, basis: str, zeeman: np.ndarray,
+              coupling_a: np.ndarray,
+              coupling_b: np.ndarray) -> GeneratorTemplate:
+    static = (params.delta_exc * commutator_superop(UPPER_PROJECTOR)
+              + dissipator_superop(jump_operators(params, basis)))
+    pieces = [static, commutator_superop(zeeman)]
+    for coupling in (coupling_a, coupling_b):
+        pieces += [commutator_superop(coupling),
+                   commutator_superop(coupling.conj().T)]
+    return GeneratorTemplate(np.stack(pieces))
 
 
 def circular_template(params: AtomParams) -> GeneratorTemplate:
     """Template over (delta_b, Omega_1, Omega_2) in the circular basis."""
-    return GeneratorTemplate(
-        static=params.delta_exc * commutator_superop(UPPER_PROJECTOR)
-        + dissipator_superop(jump_operators(params, "circular")),
-        zeeman=commutator_superop(ZEEMAN_CIRCULAR),
-        drive_a=commutator_superop(COUPLING_FIELD1),
-        drive_a_conj=commutator_superop(COUPLING_FIELD1.conj().T),
-        drive_b=commutator_superop(COUPLING_FIELD2),
-        drive_b_conj=commutator_superop(COUPLING_FIELD2.conj().T),
-    )
+    return _template(params, "circular", ZEEMAN_CIRCULAR,
+                     COUPLING_FIELD1, COUPLING_FIELD2)
 
 
 def linear_template(params: AtomParams) -> GeneratorTemplate:
     """Template over (delta_b, Omega_c, Omega_p) in the linear basis."""
-    return GeneratorTemplate(
-        static=params.delta_exc * commutator_superop(UPPER_PROJECTOR)
-        + dissipator_superop(jump_operators(params, "linear")),
-        zeeman=commutator_superop(ZEEMAN_LINEAR),
-        drive_a=commutator_superop(COUPLING_CONTROL),
-        drive_a_conj=commutator_superop(COUPLING_CONTROL.conj().T),
-        drive_b=commutator_superop(COUPLING_PROBE),
-        drive_b_conj=commutator_superop(COUPLING_PROBE.conj().T),
-    )
+    return _template(params, "linear", ZEEMAN_LINEAR,
+                     COUPLING_CONTROL, COUPLING_PROBE)
 
 
 def nullspace_dimension(generator: np.ndarray, rel_tol: float = 1e-11) -> int:
@@ -166,9 +171,17 @@ def nullspace_dimension(generator: np.ndarray, rel_tol: float = 1e-11) -> int:
 
 
 def refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by LU plus one step of iterative refinement."""
-    x = np.linalg.solve(a, b)
-    x += np.linalg.solve(a, b - a @ x)
+    """Solve a x = b by LU plus one step of iterative refinement.
+
+    a is factored once; both back-substitutions use that factorisation
+    and the refinement residual is taken against the exact a.  Raises
+    np.linalg.LinAlgError when a is exactly singular.
+    """
+    lu, piv, info = _getrf(a)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    x = _getrs(lu, piv, b)[0]
+    x += _getrs(lu, piv, b - a @ x)[0]
     return x
 
 
@@ -192,7 +205,7 @@ def steady_state_matrix(generator: np.ndarray) -> np.ndarray:
     refinement.  The residual of the *original* equations is always
     checked.
     """
-    scale = np.max(np.abs(generator))
+    scale = np.abs(generator).max()
     if not math.isfinite(scale):
         raise SteadyStateError("generator has non-finite entries")
     if scale == 0.0:
@@ -220,7 +233,7 @@ def steady_state_matrix(generator: np.ndarray) -> np.ndarray:
 
     rho = vec.reshape(DIM, DIM)
     rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
+    rho /= rho.trace().real
     try:
         validate_density_matrix(rho)
     except ValueError as exc:

@@ -43,6 +43,7 @@ from .core import (
     Curve,
     DriveConfig,
     TWO_PI,
+    _require_finite,
     hz_to_angular,
     input_fields,
 )
@@ -427,15 +428,16 @@ class PulseSpec:
     n_samples: int = 1024
 
     def __post_init__(self):
-        if self.fwhm <= 0.0:
-            raise ValueError("fwhm must be positive")
         window = (
             self.time_window if self.time_window is not None
             else 8.0 * self.fwhm
         )
+        object.__setattr__(self, "time_window", window)
+        _require_finite(self)
+        if self.fwhm <= 0.0:
+            raise ValueError("fwhm must be positive")
         if window < 8.0 * self.fwhm:
             raise ValueError("time_window must be at least 8 * fwhm")
-        object.__setattr__(self, "time_window", window)
         n = self.n_samples
         if n < 256 or (n & (n - 1)) != 0:
             raise ValueError("n_samples must be a power of two, >= 256")

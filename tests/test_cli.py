@@ -96,7 +96,11 @@ def test_repeated_key_names_both_lines():
     ("fwhm_s = -0.005\n", "fwhm must be positive"),
     ("time_window_s = 0.01\nfwhm_s = 0.005\n",
      r"time_window must be at least 8 \* fwhm"),
-], ids=["n_samples", "fwhm_s", "time_window_s"])
+    ("fwhm_s = nan\n", "fwhm must be finite, got nan"),
+    ("carrier_detuning_hz = inf\nfwhm_s = 0.005\n",
+     "carrier_detuning must be finite, got inf"),
+], ids=["n_samples", "fwhm_s", "time_window_s", "fwhm_s-nan",
+        "carrier_detuning_hz-inf"])
 def test_pulse_value_reports_line(pulse_lines, message):
     # The rejected key sits on line 3.
     text = ("mode = pulse\npreset = fig4-warm\n" + pulse_lines

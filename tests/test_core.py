@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lambdaloop import core
 from lambdaloop import (
     AtomParams,
     Curve,
@@ -162,6 +163,23 @@ class TestDensityMatrixValidation:
         bad = np.diag([-1e-3, 1e-3, 0.5, 0.5]).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
             validate_density_matrix(bad)
+
+    def test_non_finite_rejected(self):
+        # Every comparison with NaN is false, so one NaN on the diagonal
+        # passes the tolerance checks unless finiteness comes first; an
+        # all-NaN matrix would reach the eigenvalue solver.
+        one = np.diag([np.nan, 1.0, 0.0, 0.0]).astype(complex)
+        for bad in (one, np.full((4, 4), np.nan + 0j)):
+            with pytest.raises(ValueError, match="non-finite"):
+                validate_density_matrix(bad)
+
+    def test_eigenvalue_solver_failure_is_value_error(self, monkeypatch):
+        def failing(a, compute_v, lower):
+            return np.zeros(4), np.zeros((0, 0)), 3
+
+        monkeypatch.setattr(core, "_heevd", failing)
+        with pytest.raises(ValueError, match="LAPACK info 3"):
+            validate_density_matrix(np.diag([0, 0, 0.5, 0.5]).astype(complex))
 
 
 class TestCurve:

@@ -10,17 +10,28 @@ from lambdaloop import (
     evolve_expm,
     input_fields,
     nullspace_dimension,
+    preset_atom,
     steady_state_matrix,
     substitution_image,
     time_evolve,
 )
 from lambdaloop.core import GROUND_MIX, hz_to_angular
+from lambdaloop import liouvillian
 from lambdaloop.liouvillian import (
+    COUPLING_CONTROL,
+    COUPLING_FIELD1,
+    COUPLING_FIELD2,
+    COUPLING_PROBE,
     TRACE_ROW,
+    UPPER_PROJECTOR,
+    ZEEMAN_CIRCULAR,
+    ZEEMAN_LINEAR,
     circular_template,
+    commutator_superop,
     dissipator_superop,
     jump_operators,
     linear_template,
+    refined_solve,
 )
 
 UNPOLARIZED = np.diag([0, 0, 0.5, 0.5]).astype(complex)
@@ -143,11 +154,80 @@ class TestGenerator:
             np.abs(gen_l)
         )
 
+    @pytest.mark.parametrize("preset", ["fig3-cold", "fig4-warm"])
+    def test_stacked_basis_matches_six_term_sum(self, preset, rng):
+        # The pieces are rebuilt here from the operators, so the order of
+        # the stacked basis is checked as well as the product.
+        atom = preset_atom(preset)
+        static_base = atom.delta_exc * commutator_superop(UPPER_PROJECTOR)
+        cases = [
+            (circular_template, "circular", ZEEMAN_CIRCULAR,
+             COUPLING_FIELD1, COUPLING_FIELD2),
+            (linear_template, "linear", ZEEMAN_LINEAR,
+             COUPLING_CONTROL, COUPLING_PROBE),
+        ]
+        for make, basis, zeeman, coupling_a, coupling_b in cases:
+            template = make(atom)
+            static = static_base + dissipator_superop(
+                jump_operators(atom, basis))
+            for _ in range(10):
+                delta_b = rng.normal() * 1e3
+                amp_a, amp_b = (complex(*rng.normal(size=2)) * 1e5
+                                for _ in range(2))
+                expected = (
+                    static
+                    + delta_b * commutator_superop(zeeman)
+                    + amp_a * commutator_superop(coupling_a)
+                    + np.conj(amp_a) * commutator_superop(coupling_a.conj().T)
+                    + amp_b * commutator_superop(coupling_b)
+                    + np.conj(amp_b) * commutator_superop(coupling_b.conj().T)
+                )
+                got = template.generator(delta_b, amp_a, amp_b)
+                assert got.shape == (16, 16)
+                assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(
+                    np.abs(expected))
+            assert np.shares_memory(template.drive_b, template.basis)
+
     def test_rejects_coherence_faster_than_population(self):
         # The decay model needs a non-negative extra dephasing rate, so
         # the atom itself refuses gamma_coh < gamma_pop.
         with pytest.raises(ValueError, match="gamma_coh .* >= gamma_pop"):
             AtomParams.from_hz(6e6, 20, 10, 800e6, 0.15, 0.075)
+
+
+class TestRefinedSolve:
+    def test_factors_once_per_call(self, monkeypatch, rng):
+        calls = []
+        getrf = liouvillian._getrf
+
+        def counting(a):
+            calls.append(a.shape)
+            return getrf(a)
+
+        monkeypatch.setattr(liouvillian, "_getrf", counting)
+        a = rng.normal(size=(16, 16)) + 16.0 * np.eye(16) + 0j
+        for n in range(1, 4):
+            refined_solve(a, np.ones(16, dtype=complex))
+            assert calls == [(16, 16)] * n
+
+    def test_singular_raises(self):
+        zero_column = np.eye(16, dtype=complex)
+        zero_column[:, 5] = 0.0
+        for a in (np.zeros((16, 16), dtype=complex), zero_column):
+            with pytest.raises(np.linalg.LinAlgError):
+                refined_solve(a, np.ones(16, dtype=complex))
+
+    def test_matches_numpy_solve_with_refinement(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            a = (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+                 + 16.0 * np.eye(16))
+            b = rng.normal(size=16) + 1j * rng.normal(size=16)
+            expected = np.linalg.solve(a, b)
+            expected += np.linalg.solve(a, b - a @ expected)
+            got = refined_solve(a, b)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(
+                np.abs(expected))
 
 
 class TestSteadyState:

@@ -258,6 +258,15 @@ class TestPulse:
         with pytest.raises(ValueError, match="fwhm"):
             PulseSpec(fwhm=0.0, peak_omega_p=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "field", ["fwhm", "peak_omega_p", "carrier_detuning", "time_window"]
+    )
+    def test_non_finite_rejected(self, field, bad):
+        kwargs = {"fwhm": 1e-3, "peak_omega_p": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PulseSpec(**kwargs)
+
     def test_free_space_identity(self, cold_atom, cold_drive):
         atom = AtomParams(
             cold_atom.gamma_e, cold_atom.gamma_pop, cold_atom.gamma_coh,

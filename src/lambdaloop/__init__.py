@@ -35,7 +35,6 @@ from .propagation import (
 )
 from .spectroscopy import (
     PulseSpec,
-    SweepSpec,
     WeakProbeWarning,
     chi_probe_timedomain,
     group_velocity_class,
@@ -60,7 +59,6 @@ __all__ = [
     "PulseSpec",
     "SimulationError",
     "SteadyStateError",
-    "SweepSpec",
     "WeakProbeWarning",
     "bare_transition_transmission",
     "calibrate_kappa",

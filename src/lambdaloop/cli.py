@@ -29,7 +29,6 @@ from .propagation import transmission
 from .liouvillian import circular_template, steady_state_matrix
 from .spectroscopy import (
     PulseSpec,
-    SweepSpec,
     modulation_depth,
     pulse_response,
     refractive_spectrum,
@@ -314,27 +313,23 @@ def _transmit(config: RunConfig, diagnostics: dict):
     return ["transmission_ratio"], [[float(value)]]
 
 
-def _transmission_sweep(variable: str, sweep, column: str, endpoint: bool):
+def _transmission_sweep(sweep, endpoint: bool):
     """Mode computing transmission over a phase or B-field grid."""
 
     def compute(config: RunConfig, diagnostics: dict):
-        grid = _sweep_grid(config, endpoint)
-        curve = sweep(SweepSpec(variable, tuple(grid), config.drive,
-                                config.atom, config.n_steps))
+        curve = sweep(config.atom, config.drive,
+                      _sweep_grid(config, endpoint), config.n_steps)
         diagnostics["modulation_depth"] = modulation_depth(curve)
-        return ([column, "transmission_ratio"],
+        return ([curve.abscissa_name, "transmission_ratio"],
                 zip(curve.xs.tolist(), curve.ys.tolist()))
 
     return compute
 
 
 def _spectrum(config: RunConfig, diagnostics: dict):
-    grid = _sweep_grid(config, endpoint=True)
-    curve = refractive_spectrum(SweepSpec(
-        "probe_detuning", tuple(grid), config.drive, config.atom,
-        config.n_steps,
-    ))
-    return (["delta_hz", "re_chi_au", "im_chi_au"],
+    curve = refractive_spectrum(config.atom, config.drive,
+                                _sweep_grid(config, endpoint=True))
+    return ([curve.abscissa_name, "re_chi_au", "im_chi_au"],
             zip(curve.xs.tolist(), curve.ys.real.tolist(),
                 curve.ys.imag.tolist()))
 
@@ -345,7 +340,7 @@ def _pulse(config: RunConfig, diagnostics: dict):
     )
     diagnostics["fractional_delay"] = fractional_delay
     out = curve.ys
-    return (["time_s", "envelope_in_au", "envelope_out_re_au",
+    return ([curve.abscissa_name, "envelope_in_au", "envelope_out_re_au",
              "envelope_out_im_au", "envelope_out_abs_au"],
             zip(curve.xs.tolist(), config.pulse.envelope.tolist(),
                 out.real.tolist(), out.imag.tolist(), np.abs(out).tolist()))
@@ -354,10 +349,8 @@ def _pulse(config: RunConfig, diagnostics: dict):
 RUNNERS = {
     "steady": _steady,
     "transmit": _transmit,
-    "sweep-phase": _transmission_sweep("phase", sweep_phase, "phi_rad",
-                                       endpoint=False),
-    "sweep-b": _transmission_sweep("b_field", sweep_bfield, "delta_b_hz",
-                                   endpoint=True),
+    "sweep-phase": _transmission_sweep(sweep_phase, endpoint=False),
+    "sweep-b": _transmission_sweep(sweep_bfield, endpoint=True),
     "spectrum": _spectrum,
     "pulse": _pulse,
 }
@@ -405,7 +398,7 @@ def main(argv=None) -> int:
             return 2
     overrides = {"mode": args.mode}
     for key in ALL_KEYS - {"mode"}:
-        value = getattr(args, key, None) if key != "steps" else args.steps
+        value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
     for key, value in overrides.items():

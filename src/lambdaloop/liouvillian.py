@@ -38,6 +38,11 @@ I4 = np.eye(DIM)
 #: Relative residual allowed on generator * vec(rho) after the solve.
 STEADY_RESIDUAL_TOL = 1e-8
 
+#: Singular values below this fraction of the largest count as null: far
+#: above machine-level null values and far below the slowest physical
+#: rate for any realistic parameter set.
+NULLSPACE_REL_TOL = 1e-11
+
 #: Trace drift at which fixed-step integration is declared unstable.
 TRACE_DRIFT_LIMIT = 1e-6
 
@@ -160,14 +165,11 @@ def linear_template(params: AtomParams) -> GeneratorTemplate:
                      COUPLING_CONTROL, COUPLING_PROBE)
 
 
-def nullspace_dimension(generator: np.ndarray, rel_tol: float = 1e-11) -> int:
-    """Number of singular values below rel_tol times the largest.
-
-    The cutoff sits far above machine-level null values and far below the
-    slowest physical rate for any realistic parameter set.
-    """
+def nullspace_dimension(generator: np.ndarray) -> int:
+    """Number of singular values below NULLSPACE_REL_TOL times the
+    largest."""
     sv = np.linalg.svd(generator, compute_uv=False)
-    return int(np.sum(sv < rel_tol * sv[0]))
+    return int(np.sum(sv < NULLSPACE_REL_TOL * sv[0]))
 
 
 def refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

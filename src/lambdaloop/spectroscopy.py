@@ -77,53 +77,38 @@ class WeakProbeWarning(UserWarning):
     """Weak-probe assumptions are strained for the requested drive."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-dimensional sweep request.
-
-    grid units follow the boundary convention: radians for phase,
-    ordinary Hz for b_field and probe_detuning.
-    """
-
-    variable: str
-    grid: tuple
-    base_drive: DriveConfig
-    params: AtomParams
-    n_steps: int = 256
-
-    def __post_init__(self):
-        if self.variable not in ("phase", "b_field", "probe_detuning"):
-            raise ValueError(f"unknown sweep variable {self.variable!r}")
-        grid = tuple(float(x) for x in self.grid)
-        if not grid:
-            raise ValueError("sweep grid must be non-empty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("sweep grid must be strictly increasing")
-        object.__setattr__(self, "grid", grid)
-
-
 def phase_grid(n_points: int) -> tuple:
     """Standard [0, 2*pi) phase grid, endpoint excluded."""
     return tuple(np.linspace(0.0, TWO_PI, n_points, endpoint=False))
 
 
-def sweep_phase(spec: SweepSpec) -> Curve:
-    """Probe transmission against the input relative phase."""
-    if spec.variable != "phase":
-        raise ValueError("sweep_phase requires variable='phase'")
-    ys = [transmission(spec.params, replace(spec.base_drive, phi=phi),
-                       spec.n_steps) for phi in spec.grid]
-    return Curve("phi_rad", spec.grid, ys)
+def _checked_grid(grid) -> tuple:
+    """The sweep grid as floats; it must be non-empty and strictly
+    increasing.  Runs before anything is solved."""
+    grid = tuple(float(x) for x in grid)
+    if not grid:
+        raise ValueError("sweep grid must be non-empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("sweep grid must be strictly increasing")
+    return grid
 
 
-def sweep_bfield(spec: SweepSpec) -> Curve:
+def sweep_phase(params: AtomParams, drive: DriveConfig, phases,
+                n_steps: int = 256) -> Curve:
+    """Probe transmission against the input relative phase (radians)."""
+    phases = _checked_grid(phases)
+    ys = [transmission(params, replace(drive, phi=phi), n_steps)
+          for phi in phases]
+    return Curve("phi_rad", phases, ys)
+
+
+def sweep_bfield(params: AtomParams, drive: DriveConfig, fields_hz,
+                 n_steps: int = 256) -> Curve:
     """Probe transmission against the Zeeman splitting (grid in Hz)."""
-    if spec.variable != "b_field":
-        raise ValueError("sweep_bfield requires variable='b_field'")
-    ys = [transmission(spec.params,
-                       replace(spec.base_drive, delta_b=hz_to_angular(db_hz)),
-                       spec.n_steps) for db_hz in spec.grid]
-    return Curve("delta_b_hz", spec.grid, ys)
+    fields_hz = _checked_grid(fields_hz)
+    ys = [transmission(params, replace(drive, delta_b=hz_to_angular(db_hz)),
+                       n_steps) for db_hz in fields_hz]
+    return Curve("delta_b_hz", fields_hz, ys)
 
 
 def modulation_depth(curve: Curve) -> float:
@@ -171,49 +156,20 @@ def _warn_if_strong_probe(drive: DriveConfig, stacklevel: int) -> None:
         )
 
 
-class _SidebandSolver:
-    """Harmonic-balance solver bound to one degenerate operating point."""
+def _operating_point(params: AtomParams, drive: DriveConfig):
+    """Linear template, degenerate generator gen0 and its vectorised
+    steady state: the point every first-order sideband linearizes around."""
+    template = linear_template(params)
+    gen0 = template.generator(
+        drive.delta_b, drive.omega_c, drive.probe_amplitude
+    )
+    return template, gen0, steady_state_matrix(gen0).reshape(-1)
 
-    def __init__(self, params: AtomParams, drive: DriveConfig):
-        _warn_if_strong_probe(drive, stacklevel=3)
-        self.params = params
-        self.drive = drive
-        template = linear_template(params)
-        self.gen0 = template.generator(
-            drive.delta_b, drive.omega_c, drive.probe_amplitude
-        )
-        self.rho0 = steady_state_matrix(self.gen0)
-        self._up = template.drive_b
-        self._dn = template.drive_b_conj
-        self.seed = self._up @ self.rho0.reshape(-1)
 
-    def response_vector(self, delta_angular: float) -> np.ndarray:
-        """First-order sideband component per unit sideband Rabi."""
-        return _solve_sideband(self.gen0, delta_angular, self.seed)
-
-    def chi(self, delta_angular: float) -> complex:
-        rho_plus = self.response_vector(delta_angular).reshape(4, 4)
-        return CHI_SIGN * (rho_plus[0, 2] + rho_plus[1, 3])
-
-    def truncation_estimate(self, delta_angular: float) -> float:
-        """Fractional second-harmonic feedback at the finite carrier.
-
-        Takes the probe carrier magnitude as the worst-case sideband
-        amplitude and estimates the relative first-harmonic correction
-        the dropped n = 2 harmonic would feed back.
-        """
-        eta = self.drive.omega_p
-        if eta == 0.0:
-            return 0.0
-        first = self.response_vector(delta_angular)
-        second = _solve_sideband(
-            self.gen0, 2.0 * delta_angular, self._up @ first
-        )
-        back = _solve_sideband(self.gen0, delta_angular, self._dn @ second)
-        norm_first = np.linalg.norm(first)
-        if norm_first == 0.0:
-            return 0.0
-        return float(eta**2 * np.linalg.norm(back) / norm_first)
+def _chi(rho_plus: np.ndarray) -> complex:
+    """chi from a first-order sideband vector per unit sideband Rabi."""
+    rho_plus = rho_plus.reshape(4, 4)
+    return CHI_SIGN * (rho_plus[0, 2] + rho_plus[1, 3])
 
 
 def weak_probe_response(params: AtomParams, drive: DriveConfig) -> complex:
@@ -221,29 +177,42 @@ def weak_probe_response(params: AtomParams, drive: DriveConfig) -> complex:
 
     The real part tracks the probe refractive index (arbitrary units),
     the imaginary part the absorption.  Warns when the dropped higher
-    sideband harmonics would matter at the percent level.
+    sideband harmonics would matter at the percent level: taking the
+    probe carrier magnitude as the worst-case sideband amplitude, the
+    estimate is the relative first-harmonic correction that the dropped
+    n = 2 harmonic would feed back.
     """
-    solver = _SidebandSolver(params, drive)
-    estimate = solver.truncation_estimate(drive.delta_probe)
-    if estimate > 0.01:
-        warnings.warn(
-            f"first-sideband truncation residual estimate {estimate:.3e} "
-            "exceeds 1%",
-            WeakProbeWarning,
-            stacklevel=2,
-        )
-    return solver.chi(drive.delta_probe)
+    _warn_if_strong_probe(drive, stacklevel=2)
+    template, gen0, rho0 = _operating_point(params, drive)
+    delta = drive.delta_probe
+    first = _solve_sideband(gen0, delta, template.drive_b @ rho0)
+    eta = drive.omega_p
+    if eta != 0.0:
+        second = _solve_sideband(gen0, 2.0 * delta, template.drive_b @ first)
+        back = _solve_sideband(gen0, delta, template.drive_b_conj @ second)
+        norm_first = np.linalg.norm(first)
+        estimate = (float(eta**2 * np.linalg.norm(back) / norm_first)
+                    if norm_first != 0.0 else 0.0)
+        if estimate > 0.01:
+            warnings.warn(
+                f"first-sideband truncation residual estimate "
+                f"{estimate:.3e} exceeds 1%",
+                WeakProbeWarning,
+                stacklevel=2,
+            )
+    return _chi(first)
 
 
-def refractive_spectrum(spec: SweepSpec) -> Curve:
+def refractive_spectrum(params: AtomParams, drive: DriveConfig,
+                        deltas_hz) -> Curve:
     """chi(delta) sampled over a probe-detuning grid (Hz)."""
-    if spec.variable != "probe_detuning":
-        raise ValueError(
-            "refractive_spectrum requires variable='probe_detuning'"
-        )
-    solver = _SidebandSolver(spec.params, spec.base_drive)
-    ys = [solver.chi(hz_to_angular(d_hz)) for d_hz in spec.grid]
-    return Curve("delta_hz", spec.grid, ys)
+    deltas_hz = _checked_grid(deltas_hz)
+    _warn_if_strong_probe(drive, stacklevel=2)
+    template, gen0, rho0 = _operating_point(params, drive)
+    seed = template.drive_b @ rho0
+    ys = [_chi(_solve_sideband(gen0, hz_to_angular(d_hz), seed))
+          for d_hz in deltas_hz]
+    return Curve("delta_hz", deltas_hz, ys)
 
 
 @dataclass(frozen=True)
@@ -336,11 +305,7 @@ def chi_probe_timedomain(params: AtomParams, drive: DriveConfig,
     if delta_hz == 0.0:
         raise ValueError("the lock-in oracle needs a nonzero detuning")
     delta = hz_to_angular(delta_hz)
-    template = linear_template(params)
-    gen0 = template.generator(
-        drive.delta_b, drive.omega_c, drive.probe_amplitude
-    )
-    rho_start = steady_state_matrix(gen0).reshape(-1)
+    template, gen0, rho_start = _operating_point(params, drive)
     eta = sideband_fraction * (drive.omega_p or drive.omega_c)
     up, dn = template.drive_b, template.drive_b_conj
     settle_time = 10.0 / min(params.gamma_pop, params.gamma_coh)

@@ -16,7 +16,6 @@ from lambdaloop import (
     AtomParams,
     DriveConfig,
     PulseSpec,
-    SweepSpec,
     WeakProbeWarning,
     bare_transition_transmission,
     chi_probe_timedomain,
@@ -63,8 +62,7 @@ def timed(fn):
 
 def cold_phase_sweep(params, db_hz, n_points, n_steps):
     drive = replace(COLD_DRIVE, delta_b=hz_to_angular(db_hz))
-    spec = SweepSpec("phase", phase_grid(n_points), drive, params, n_steps)
-    return sweep_phase(spec)
+    return sweep_phase(params, drive, phase_grid(n_points), n_steps)
 
 
 def relative_variation(curve):
@@ -143,8 +141,7 @@ def warm_spectra():
         drive = replace(
             WARM_DRIVE, delta_b=hz_to_angular(db_hz), phi=phi
         )
-        spec = SweepSpec("probe_detuning", grid, drive, WARM)
-        spectra[(db_hz, phi)] = refractive_spectrum(spec)
+        spectra[(db_hz, phi)] = refractive_spectrum(WARM, drive, grid)
     return spectra
 
 
@@ -214,8 +211,7 @@ def test_criterion_3_substitution_symmetry(transmission_grids):
 def test_criterion_4_warm_intrinsic_sensitivity():
     def depth_at(db_hz):
         drive = replace(WARM_DRIVE, delta_b=hz_to_angular(db_hz))
-        spec = SweepSpec("phase", phase_grid(64), drive, WARM, 256)
-        curve = sweep_phase(spec)
+        curve = sweep_phase(WARM, drive, phase_grid(64), 256)
         return modulation_depth(curve), float(np.mean(np.real(curve.ys)))
 
     (depth0, mean0) = depth_at(0.0)
@@ -233,7 +229,7 @@ def test_criterion_5_bfield_mirror():
 
     def curve_at(p):
         drive = replace(WARM_DRIVE, phi=p)
-        return sweep_bfield(SweepSpec("b_field", grid, drive, WARM, 256))
+        return sweep_bfield(WARM, drive, grid, 256)
 
     direct = curve_at(phi)
     shifted = curve_at(phi + np.pi)

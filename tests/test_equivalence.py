@@ -19,7 +19,6 @@ import pytest
 from lambdaloop import (
     AtomParams,
     DriveConfig,
-    SweepSpec,
     WeakProbeWarning,
     bare_transition_transmission,
     hz_to_angular,
@@ -76,11 +75,11 @@ def _weak_probe_warm():
 
 def _refractive_spectrum(name):
     drive = replace(preset_drive(name), phi=0.35)
-    spec = SweepSpec("probe_detuning", (-10.0, -5.0, 0.0, 5.0, 10.0), drive,
-                     preset_atom(name))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WeakProbeWarning)
-        return refractive_spectrum(spec).ys
+        return refractive_spectrum(
+            preset_atom(name), drive, (-10.0, -5.0, 0.0, 5.0, 10.0)
+        ).ys
 
 
 CASES = {

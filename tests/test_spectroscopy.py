@@ -10,7 +10,6 @@ from lambdaloop import (
     DriveConfig,
     PulseSpec,
     SteadyStateError,
-    SweepSpec,
     WeakProbeWarning,
     chi_probe_timedomain,
     group_velocity_class,
@@ -26,16 +25,16 @@ from lambdaloop import (
     transmission,
     weak_probe_response,
 )
+from lambdaloop import spectroscopy
 from lambdaloop.spectroscopy import _solve_sideband, apply_transfer, peak_time
 
 STRONG_PROBE = DriveConfig.from_hz(0.0, 0.0, 240e3, 120e3)
 
 
-def spectrum_for(params, drive, grid_hz, n_steps=256):
-    spec = SweepSpec("probe_detuning", tuple(grid_hz), drive, params, n_steps)
+def spectrum_for(params, drive, grid_hz):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WeakProbeWarning)
-        return refractive_spectrum(spec)
+        return refractive_spectrum(params, drive, grid_hz)
 
 
 class TestTwoLevelLimit:
@@ -145,10 +144,32 @@ class TestResponseProperties:
         assert abs(mid - neighbors) < 0.05 * abs(mid)
 
     def test_warns_on_strong_probe(self, warm_atom):
-        with pytest.warns(WeakProbeWarning) as record:
-            weak_probe_response(warm_atom, STRONG_PROBE)
-        # Every warning points at the caller, not into the package.
-        assert {w.filename for w in record} == {__file__}
+        for call in (
+            lambda: weak_probe_response(warm_atom, STRONG_PROBE),
+            lambda: refractive_spectrum(warm_atom, STRONG_PROBE, (0.0, 3.0)),
+        ):
+            with pytest.warns(WeakProbeWarning) as record:
+                call()
+            # Every warning points at the caller, not into the package.
+            assert {w.filename for w in record} == {__file__}
+
+    def test_weak_probe_solves_first_sideband_once(self, warm_atom,
+                                                   warm_drive, monkeypatch):
+        # The first sideband feeds both chi and the truncation estimate:
+        # one solve at delta, one at 2*delta, one back at delta.
+        solve = spectroscopy._solve_sideband
+        deltas_hz = []
+
+        def counted(gen, delta, seed):
+            deltas_hz.append(delta / (2 * np.pi))
+            return solve(gen, delta, seed)
+
+        monkeypatch.setattr(spectroscopy, "_solve_sideband", counted)
+        drive = replace(warm_drive, delta_probe=hz_to_angular(3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakProbeWarning)
+            weak_probe_response(warm_atom, drive)
+        assert deltas_hz == pytest.approx([3.0, 6.0, 3.0], rel=1e-12)
 
     def test_singular_sideband_system_names_detuning(self):
         # gen = -i*delta*I makes (-i*delta - gen) the zero matrix.
@@ -196,37 +217,34 @@ class TestSweeps:
         depths = {}
         for db_hz in (0.0, 10.0, 80.0):
             drive = DriveConfig.from_hz(db_hz, 0.0, 20e3, 5e3)
-            spec = SweepSpec("phase", grid, drive, cold_atom, 96)
-            depths[db_hz] = modulation_depth(sweep_phase(spec))
+            depths[db_hz] = modulation_depth(
+                sweep_phase(cold_atom, drive, grid, 96)
+            )
         assert depths[80.0] > depths[10.0] > depths[0.0]
         assert depths[80.0] / depths[10.0] > 2.0
 
     def test_warm_intrinsic_sensitivity(self, warm_atom):
         drive = DriveConfig.from_hz(0.0, 0.0, 240e3, 60e3)
-        spec = SweepSpec("phase", phase_grid(16), drive, warm_atom, 96)
-        curve = sweep_phase(spec)
+        curve = sweep_phase(warm_atom, drive, phase_grid(16), 96)
         assert modulation_depth(curve) > 0.1 * float(np.mean(curve.ys))
 
     def test_bfield_mirror(self, warm_atom):
         phi = 0.9
         grid = tuple(np.linspace(-60.0, 60.0, 7))
-        curve_a = sweep_bfield(SweepSpec(
-            "b_field", grid, DriveConfig.from_hz(0, phi, 240e3, 60e3),
-            warm_atom, 96,
-        ))
-        curve_b = sweep_bfield(SweepSpec(
-            "b_field", grid,
-            DriveConfig.from_hz(0, phi + np.pi, 240e3, 60e3),
-            warm_atom, 96,
-        ))
+        curve_a = sweep_bfield(
+            warm_atom, DriveConfig.from_hz(0, phi, 240e3, 60e3), grid, 96
+        )
+        curve_b = sweep_bfield(
+            warm_atom, DriveConfig.from_hz(0, phi + np.pi, 240e3, 60e3),
+            grid, 96,
+        )
         mirrored = dict(zip(-curve_b.xs, curve_b.ys))
         for x, y in zip(curve_a.xs, curve_a.ys):
             assert abs(y - mirrored[-(-x)]) < 1e-8
 
     def test_single_point_grid_is_transmission(self, cold_atom):
         drive = DriveConfig.from_hz(40.0, 0.3, 20e3, 5e3)
-        spec = SweepSpec("b_field", (40.0,), drive, cold_atom, 96)
-        curve = sweep_bfield(spec)
+        curve = sweep_bfield(cold_atom, drive, (40.0,), 96)
         assert curve.ys[0] == pytest.approx(
             transmission(cold_atom, drive, 96), abs=1e-14
         )
@@ -240,13 +258,23 @@ class TestSweeps:
         ]
         assert abs(values[0] - values[1]) > 0.01 * max(values)
 
-    def test_grid_validation(self, cold_atom, cold_drive):
-        with pytest.raises(ValueError, match="increasing"):
-            SweepSpec("phase", (1.0, 1.0), cold_drive, cold_atom)
-        with pytest.raises(ValueError, match="non-empty"):
-            SweepSpec("phase", (), cold_drive, cold_atom)
-        with pytest.raises(ValueError, match="variable"):
-            SweepSpec("voltage", (0.0,), cold_drive, cold_atom)
+    def test_grid_validation(self, cold_atom, cold_drive, monkeypatch):
+        # A solve before the grid check would raise the stub's error.
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the grid check")
+
+        monkeypatch.setattr(spectroscopy, "transmission", solve)
+        monkeypatch.setattr(spectroscopy, "steady_state_matrix", solve)
+        for sweep in (sweep_phase, sweep_bfield, refractive_spectrum):
+            with pytest.raises(ValueError, match="increasing"):
+                sweep(cold_atom, cold_drive, (1.0, 1.0))
+            with pytest.raises(ValueError, match="increasing"):
+                sweep(cold_atom, cold_drive, (2.0, 1.0))
+            with pytest.raises(ValueError, match="non-empty"):
+                sweep(cold_atom, cold_drive, ())
+            # A valid grid does reach the stubbed solve.
+            with pytest.raises(AssertionError, match="grid check"):
+                sweep(cold_atom, cold_drive, (0.0, 1.0))
 
 
 class TestPulse:

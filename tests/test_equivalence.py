@@ -4,9 +4,10 @@ Every case is compared to `data/equivalence.json` to 1e-12 relative to
 the case's largest magnitude, so a refactor of the RK4 stepping, the
 field readout or the sideband solves that moves a result past rounding
 shows here.  The values were recorded before that code was shared;
-re-record them only for a change meant to move the physics, with
+re-record them only for a change meant to move the physics, with one
+BLAS thread (a threaded BLAS moves the last bits of the existing cases):
 
-    PYTHONPATH=src python tests/test_equivalence.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_equivalence.py
 """
 import json
 import warnings
@@ -65,6 +66,14 @@ def _sideband_transfer(name):
     )
 
 
+def _sideband_transfer_warm_64():
+    # Both signs of delta, resonance and a far wing at a finer z grid.
+    return sideband_transfer(
+        preset_atom("fig4-warm"), preset_drive("fig4-warm"),
+        [-40.0, 0.0, 3.0, 150.0], 64,
+    )
+
+
 def _weak_probe_warm():
     # A non-zero detuning runs the second-harmonic truncation solves.
     drive = replace(preset_drive("fig4-warm"), delta_probe=hz_to_angular(3.0))
@@ -93,6 +102,7 @@ CASES = {
     "sideband_transfer_cold_32": lambda: _sideband_transfer("fig3-cold"),
     "weak_probe_warm_3hz": _weak_probe_warm,
     "refractive_spectrum_cold_5": lambda: _refractive_spectrum("fig3-cold"),
+    "sideband_transfer_warm_64": _sideband_transfer_warm_64,
 }
 
 

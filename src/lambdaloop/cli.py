@@ -37,6 +37,8 @@ from .spectroscopy import (
 )
 
 SWEEP_MODES = ("sweep-phase", "sweep-b", "spectrum")
+#: Modes that march in z, whose sidecars record the grid's n_steps.
+Z_MARCH_MODES = ("transmit", "sweep-phase", "sweep-b", "pulse")
 
 ATOM_KEYS = ("gamma_e_hz", "gamma_pop_hz", "gamma_coh_hz", "delta_exc_hz",
              "od", "cell_length_m")
@@ -359,7 +361,9 @@ MODES = tuple(RUNNERS)
 
 def run(config: RunConfig) -> int:
     """Execute a run and write <out>.csv plus <out>.json."""
-    diagnostics: dict = {"mode": config.mode, "n_steps": config.n_steps}
+    diagnostics: dict = {"mode": config.mode}
+    if config.mode in Z_MARCH_MODES:
+        diagnostics["n_steps"] = config.n_steps
     header, rows = RUNNERS[config.mode](config, diagnostics)
     _write_csv(f"{config.out}.csv", header, rows)
     _write_sidecar(f"{config.out}.json", config, diagnostics)

@@ -175,7 +175,8 @@ def nullspace_dimension(generator: np.ndarray) -> int:
 def refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b by LU plus one step of iterative refinement.
 
-    a is factored once; both back-substitutions use that factorisation
+    b is one right-hand side or a block of them as columns.  a is
+    factored once; both back-substitutions use that factorisation
     and the refinement residual is taken against the exact a.  Raises
     np.linalg.LinAlgError when a is exactly singular.
     """

@@ -28,6 +28,16 @@ extrapolated, plus lock-in extraction at the sideband frequency), and a
 thick-medium transfer that co-propagates the sideband together with its
 four-wave-mixing conjugate partner through the cell.  The latter feeds
 the pulse filter.
+
+The transfer solves both sidebands with one LU factorisation per
+integrator stage.  With D(v) = conj(vec(mat(v)^T)), the map
+vec(M) -> vec(M^dagger), every generator satisfies D L D = L: D maps
+the static and Zeeman pieces to themselves and each drive piece to its
+conjugate partner, bit for bit.  D is antilinear, so the +delta response
+x solving (+i*delta - L) x = s is D(y) with (-i*delta - L) y = D(s),
+the same matrix the -delta sideband needs.  Because the carrier state
+is exactly Hermitian, D(s) is built from the same drive-piece products
+as the -delta seed, with conjugated coefficients.
 """
 from __future__ import annotations
 
@@ -71,6 +81,11 @@ CHI_SIGN = -1.0
 PULSE_SPECTRUM_CUTOFF = 1e-8
 
 _I16 = np.eye(16, dtype=complex)
+
+#: Picks the sideband seed coefficients of each drive piece (rows) from
+#: (state, conj(state)) of the transfer march: (e1, conj m1c, e2,
+#: conj m2c) for -delta and their conjugates for D of +delta.
+_SEED_INDEX = np.array([[2, 8], [10, 4], [3, 9], [11, 5]])
 
 
 class WeakProbeWarning(UserWarning):
@@ -120,9 +135,10 @@ def modulation_depth(curve: Curve) -> float:
 def _solve_sideband(gen, delta_angular, seed):
     """Solve (-i*delta - gen) x = seed; trace-replaced on resonance.
 
-    At delta = 0 the matrix is singular (the generator kernel); the
-    physical limit is the trace-free solution, which the trace row picks
-    uniquely.
+    seed is one (16,) right-hand side or a (16, k) block of them, all
+    solved with one factorisation.  At delta = 0 the matrix is singular
+    (the generator kernel); the physical limit is the trace-free
+    solution, which the trace row picks uniquely.
     """
     a = -1j * delta_angular * _I16 - gen
     if delta_angular == 0.0:
@@ -172,6 +188,31 @@ def _chi(rho_plus: np.ndarray) -> complex:
     return CHI_SIGN * (rho_plus[0, 2] + rho_plus[1, 3])
 
 
+def _truncation_estimate(template, gen0, delta, first, eta) -> float:
+    """Relative first-harmonic correction that the dropped n = 2
+    harmonic would feed back, with eta the sideband amplitude and first
+    the first-sideband solution at delta."""
+    second = _solve_sideband(gen0, 2.0 * delta, template.drive_b @ first)
+    back = _solve_sideband(gen0, delta, template.drive_b_conj @ second)
+    norm_first = np.linalg.norm(first)
+    if norm_first == 0.0:
+        return 0.0
+    return float(eta**2 * np.linalg.norm(back) / norm_first)
+
+
+def _warn_if_truncated(estimate: float, delta: float,
+                       stacklevel: int) -> None:
+    """Truncation WeakProbeWarning above 1%; stacklevel counted from the
+    caller."""
+    if estimate > 0.01:
+        warnings.warn(
+            f"first-sideband truncation residual estimate "
+            f"{estimate:.3e} at delta = {delta / TWO_PI:.6g} Hz exceeds 1%",
+            WeakProbeWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
 def weak_probe_response(params: AtomParams, drive: DriveConfig) -> complex:
     """Complex susceptibility sample chi at drive.delta_probe.
 
@@ -188,30 +229,35 @@ def weak_probe_response(params: AtomParams, drive: DriveConfig) -> complex:
     first = _solve_sideband(gen0, delta, template.drive_b @ rho0)
     eta = drive.omega_p
     if eta != 0.0:
-        second = _solve_sideband(gen0, 2.0 * delta, template.drive_b @ first)
-        back = _solve_sideband(gen0, delta, template.drive_b_conj @ second)
-        norm_first = np.linalg.norm(first)
-        estimate = (float(eta**2 * np.linalg.norm(back) / norm_first)
-                    if norm_first != 0.0 else 0.0)
-        if estimate > 0.01:
-            warnings.warn(
-                f"first-sideband truncation residual estimate "
-                f"{estimate:.3e} exceeds 1%",
-                WeakProbeWarning,
-                stacklevel=2,
-            )
+        _warn_if_truncated(
+            _truncation_estimate(template, gen0, delta, first, eta),
+            delta, stacklevel=2,
+        )
     return _chi(first)
 
 
 def refractive_spectrum(params: AtomParams, drive: DriveConfig,
                         deltas_hz) -> Curve:
-    """chi(delta) sampled over a probe-detuning grid (Hz)."""
+    """chi(delta) sampled over a probe-detuning grid (Hz).
+
+    Runs the truncation estimate of weak_probe_response at every sample
+    and warns once, with the worst estimate and its detuning.
+    """
     deltas_hz = _checked_grid(deltas_hz)
     _warn_if_strong_probe(drive, stacklevel=2)
     template, gen0, rho0 = _operating_point(params, drive)
     seed = template.drive_b @ rho0
-    ys = [_chi(_solve_sideband(gen0, hz_to_angular(d_hz), seed))
-          for d_hz in deltas_hz]
+    eta = drive.omega_p
+    ys = []
+    worst = (0.0, 0.0)
+    for d_hz in deltas_hz:
+        delta = hz_to_angular(d_hz)
+        first = _solve_sideband(gen0, delta, seed)
+        ys.append(_chi(first))
+        if eta != 0.0:
+            worst = max(worst, (_truncation_estimate(
+                template, gen0, delta, first, eta), delta))
+    _warn_if_truncated(*worst, stacklevel=2)
     return Curve("delta_hz", deltas_hz, ys)
 
 
@@ -331,9 +377,11 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
     +delta through the cell; the pair is seeded the way a real envelope
     modulation populates it (equal amplitudes).  At each integrator
     stage the carrier steady state feeds the carrier derivatives and the
-    two first-order responses.  Returns the output probe-mode modulation
-    per unit input, one complex value per entry of deltas_hz.  A failed
-    carrier solve or a diverging state raises PropagationError naming z.
+    two first-order responses, which share one factorisation through the
+    conjugation symmetry D of the module docstring.  Returns the output
+    probe-mode modulation per unit input, one complex value per entry of
+    deltas_hz.  A failed carrier solve or a diverging state raises
+    PropagationError naming z.
     """
     deltas = np.atleast_1d(np.asarray(deltas_hz, dtype=float))
     kappa = calibrate_kappa(params)
@@ -341,34 +389,33 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
         return np.ones(deltas.shape, dtype=complex)
 
     template = circular_template(params)
-    up1, dn1 = template.drive_a, template.drive_a_conj
-    up2, dn2 = template.drive_b, template.drive_b_conj
+    # drive_a, drive_a_conj, drive_b, drive_b_conj as one (64, 16) map.
+    drive_pieces = template.basis[2:].reshape(64, 16)
     sb = 1.0 / math.sqrt(2.0)
     state_in = np.array([*input_fields(drive), sb, -sb, sb, -sb],
                         dtype=complex)
+    ik = 1j * kappa
 
     out = np.empty(deltas.shape, dtype=complex)
     for i, d_hz in enumerate(deltas):
         delta = hz_to_angular(float(d_hz))
 
         def rhs(state, z):
-            _, _, e1, e2, m1c, m2c = state
             gen, rho = carrier_stage(template, drive.delta_b, state, z)
-            vec = rho.reshape(-1)
-            low = _solve_sideband(
-                gen, delta,
-                (e1 * up1 + e2 * up2 + np.conj(m1c) * dn1
-                 + np.conj(m2c) * dn2) @ vec,
-            ).reshape(4, 4)
-            high = _solve_sideband(
-                gen, -delta,
-                (np.conj(m1c) * up1 + np.conj(m2c) * up2 + e1 * dn1
-                 + e2 * dn2) @ vec,
-            ).reshape(4, 4)
-            return np.concatenate([
-                field_derivative(kappa, rho),
-                field_derivative(kappa, low),
-                np.conj(field_derivative(kappa, high)),
+            pieces = (drive_pieces @ rho.reshape(-1)).reshape(4, 16)
+            # Column 0 seeds the -delta sideband with (e1, conj m1c, e2,
+            # conj m2c); column 1 is D of the +delta seed, so D of its
+            # solution is the +delta response.
+            coeffs = np.concatenate([state, state.conj()])[_SEED_INDEX]
+            x = _solve_sideband(gen, delta, pieces.T @ coeffs)
+            x = x.reshape(4, 4, 2)
+            # The +delta pair is conj(field_derivative(D x)).
+            return np.array([
+                *field_derivative(kappa, rho),
+                -ik * (x[1, 2, 0] + x[0, 2, 0]),
+                -ik * (x[1, 3, 0] - x[0, 3, 0]),
+                ik * (x[2, 1, 1] + x[2, 0, 1]),
+                ik * (x[3, 1, 1] - x[3, 0, 1]),
             ])
 
         state = z_march(rhs, state_in, params.cell_length, n_steps)[-1]

@@ -257,3 +257,24 @@ def test_main_solver_failure_exits_one(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "forced failure" in err and "at z = 0 m" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "mode", ["steady", "transmit", "sweep-phase", "sweep-b", "spectrum",
+             "pulse"],
+)
+def test_sidecar_records_n_steps_only_for_z_marches(tmp_path, mode):
+    # Zero OD keeps the z marches cheap; steady and spectrum use no z grid.
+    out = tmp_path / mode
+    text = (
+        f"mode = {mode}\npreset = fig3-cold\nod = 0\nsteps = 32\n"
+        "sweep_start = -1\nsweep_stop = 1\npoints = 2\nfwhm_s = 0.005\n"
+        f"peak_omega_p_hz = 5e3\nn_samples = 256\nout = {out}\n"
+    )
+    run(parse_config(text))
+    diagnostics = json.loads(out.with_suffix(".json").read_text())[
+        "diagnostics"]
+    if mode in ("steady", "spectrum"):
+        assert "n_steps" not in diagnostics
+    else:
+        assert diagnostics["n_steps"] == 32

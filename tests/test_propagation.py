@@ -226,7 +226,7 @@ class TestFailurePaths:
 
         self.stage_hook(monkeypatch, on_call)
         monkeypatch.setattr(spectroscopy, "_solve_sideband",
-                            lambda gen, delta, seed: np.zeros(16, complex))
+                            lambda gen, delta, seed: np.zeros_like(seed))
         h = cold_atom.cell_length / self.N_STEPS
         with pytest.raises(PropagationError) as info:
             march(cold_atom, cold_drive, self.N_STEPS)

@@ -14,18 +14,23 @@ from lambdaloop import (
     chi_probe_timedomain,
     group_velocity_class,
     hz_to_angular,
+    input_fields,
     modulation_depth,
     phase_grid,
+    preset_atom,
+    preset_drive,
     pulse_response,
     refractive_spectrum,
     sideband_transfer,
+    steady_state_matrix,
     substitution_image,
     sweep_bfield,
     sweep_phase,
     transmission,
     weak_probe_response,
 )
-from lambdaloop import spectroscopy
+from lambdaloop import liouvillian, spectroscopy
+from lambdaloop.liouvillian import circular_template
 from lambdaloop.spectroscopy import _solve_sideband, apply_transfer, peak_time
 
 STRONG_PROBE = DriveConfig.from_hz(0.0, 0.0, 240e3, 120e3)
@@ -177,6 +182,27 @@ class TestResponseProperties:
         with pytest.raises(SteadyStateError, match=r"at delta = 12\.5 Hz"):
             _solve_sideband(-1j * delta * np.eye(16), delta,
                             np.ones(16, dtype=complex))
+
+
+    def test_spectrum_warns_once_at_worst_truncation(self, warm_atom,
+                                                     warm_drive):
+        # weak_probe_response warns at both -15 Hz (1.620e-2) and 20 Hz
+        # (1.590e-2) here; the spectrum names the worst of the two.
+        drive = replace(warm_drive, delta_b=hz_to_angular(-91.0), phi=0.35)
+        with pytest.warns(WeakProbeWarning) as record:
+            refractive_spectrum(warm_atom, drive, (-15.0, 20.0))
+        assert len(record) == 1
+        assert record[0].filename == __file__
+        assert str(record[0].message) == (
+            "first-sideband truncation residual estimate 1.620e-02 at "
+            "delta = -15 Hz exceeds 1%"
+        )
+
+    def test_cold_spectrum_stays_silent(self, cold_atom, cold_drive):
+        drive = replace(cold_drive, phi=0.35)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", WeakProbeWarning)
+            refractive_spectrum(cold_atom, drive, (-10.0, -5.0, 0.0, 5.0, 10.0))
 
 
 class TestGroupVelocityClass:
@@ -352,3 +378,92 @@ class TestPulse:
         lo, hi = sideband_transfer(warm_atom, warm_drive, [-h_hz, h_hz], 128)
         slope = (np.angle(hi) - np.angle(lo)) / (2 * hz_to_angular(h_hz))
         assert frac * pulse.fwhm == pytest.approx(slope, rel=0.1)
+
+
+# Row-major index of the transposed element: vec(M^T) = vec(M)[TRANSPOSE].
+TRANSPOSE = np.arange(16).reshape(4, 4).T.reshape(-1)
+
+
+def _dagger(vec):
+    """D(v) = conj(vec(mat(v)^T)), i.e. vec(M) -> vec(M^dagger)."""
+    return vec.conj()[TRANSPOSE]
+
+
+def _dagger_map(superop):
+    """D X D for each (16, 16) superoperator X of a stack."""
+    return superop.conj()[..., TRANSPOSE, :][..., TRANSPOSE]
+
+
+class TestSidebandConjugationSymmetry:
+    """The identity that lets sideband_transfer solve the +delta and
+    -delta sidebands of a stage with one factorisation."""
+
+    @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
+    def test_dagger_maps_each_piece_to_its_partner(self, name):
+        # static, zeeman, drive_a, drive_a_conj, drive_b, drive_b_conj
+        basis = circular_template(preset_atom(name)).basis
+        assert np.array_equal(_dagger_map(basis), basis[[0, 1, 3, 2, 5, 4]])
+
+    @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
+    def test_steady_state_is_exactly_hermitian(self, name, rng):
+        template = circular_template(preset_atom(name))
+        drive = preset_drive(name)
+        fields = [input_fields(drive)]
+        fields += [rng.normal(size=2) + 1j * rng.normal(size=2)
+                   for _ in range(4)]
+        for amp_a, amp_b in fields:
+            rho = steady_state_matrix(
+                template.generator(drive.delta_b, amp_a, amp_b)
+            )
+            assert np.array_equal(rho, rho.conj().T)
+
+    @pytest.mark.parametrize("delta_hz", [0.0, 7.5])
+    def test_shared_lu_pair_matches_direct_solves(self, warm_atom,
+                                                  warm_drive, delta_hz, rng):
+        template = circular_template(warm_atom)
+        gen = template.generator(warm_drive.delta_b,
+                                 *input_fields(warm_drive))
+        vec = steady_state_matrix(gen).reshape(-1)
+        e1, e2, m1c, m2c = rng.normal(size=4) + 1j * rng.normal(size=4)
+        up1, dn1 = template.drive_a, template.drive_a_conj
+        up2, dn2 = template.drive_b, template.drive_b_conj
+        seed_low = (e1 * up1 + e2 * up2 + np.conj(m1c) * dn1
+                    + np.conj(m2c) * dn2) @ vec
+        seed_high = (np.conj(m1c) * up1 + np.conj(m2c) * up2 + e1 * dn1
+                     + e2 * dn2) @ vec
+        delta = hz_to_angular(delta_hz)
+        low = _solve_sideband(gen, delta, seed_low)
+        high = _solve_sideband(gen, -delta, seed_high)
+
+        # The seed block sideband_transfer builds: the -delta seed and
+        # D of the +delta seed, from the same drive-piece products.
+        pieces = (template.basis[2:].reshape(64, 16) @ vec).reshape(4, 16)
+        state = np.array([0.0, 0.0, e1, e2, m1c, m2c])
+        coeffs = np.concatenate([state, state.conj()])[
+            spectroscopy._SEED_INDEX]
+        seeds = pieces.T @ coeffs
+        scale = np.max(np.abs([seed_low, seed_high]))
+        assert np.max(np.abs(seeds[:, 0] - seed_low)) <= 1e-13 * scale
+        assert (np.max(np.abs(seeds[:, 1] - _dagger(seed_high)))
+                <= 1e-13 * scale)
+
+        pair = _solve_sideband(gen, delta, seeds)
+        high_shared = _dagger(pair[:, 1])
+        scale = np.max(np.abs([low, high]))
+        assert np.max(np.abs(pair[:, 0] - low)) <= 1e-13 * scale
+        assert np.max(np.abs(high_shared - high)) <= 1e-13 * scale
+
+    def test_two_factorisations_per_stage(self, cold_atom, cold_drive,
+                                          monkeypatch):
+        # One for the carrier, one for both sidebands: 2 per stage, 4
+        # stages per step, 16 steps.
+        getrf = liouvillian._getrf
+        calls = []
+
+        def counting(a):
+            calls.append(None)
+            return getrf(a)
+
+        monkeypatch.setattr(liouvillian, "_getrf", counting)
+        sideband_transfer(cold_atom, cold_drive, [5.0], 16)
+        assert len(calls) == 2 * 4 * 16

@@ -91,6 +91,17 @@ def _refractive_spectrum(name):
         ).ys
 
 
+def _refractive_spectrum_warm_field():
+    # Non-zero field at the criterion 8 drive, over the criterion 6 span.
+    drive = replace(preset_drive("fig4-warm"),
+                    delta_b=hz_to_angular(-91.0), phi=0.35)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakProbeWarning)
+        return refractive_spectrum(
+            preset_atom("fig4-warm"), drive, np.linspace(-30.0, 30.0, 13)
+        ).ys
+
+
 CASES = {
     "time_evolve_soft": _time_evolve_soft,
     **{f"transmission_{name}_64": (lambda n=name: _transmission(n))
@@ -103,6 +114,7 @@ CASES = {
     "weak_probe_warm_3hz": _weak_probe_warm,
     "refractive_spectrum_cold_5": lambda: _refractive_spectrum("fig3-cold"),
     "sideband_transfer_warm_64": _sideband_transfer_warm_64,
+    "refractive_spectrum_warm_field_13": _refractive_spectrum_warm_field,
 }
 
 

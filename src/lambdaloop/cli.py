@@ -212,7 +212,7 @@ def _resolve(entries: dict) -> RunConfig:
     except ValueError as exc:
         err_fields(exc, "drive")
 
-    if values["steps"] < 16:
+    if mode in Z_MARCH_MODES and values["steps"] < 16:
         err("steps", f"steps must be >= 16, got {values['steps']}")
     if mode in SWEEP_MODES:
         if values["points"] < 2:

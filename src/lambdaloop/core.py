@@ -1,9 +1,12 @@
-"""Domain types, unit conventions and basis transforms.
+"""Domain types, unit conventions and field transforms.
 
 Level scheme: two excited states |1>, |2> (|1> lies an energy splitting
-above |2>) and two ground states, written either in the circular basis
-{|3>, |4>} or in the linear basis {|X>, |Y>} with
-|X> = (|3>+|4>)/sqrt(2), |Y> = (|3>-|4>)/sqrt(2).
+above |2>) and the circular ground states |3>, |4>.  Every 4x4 matrix in
+the package is written in this circular basis.  The linear ground states
+|X> = (|3>+|4>)/sqrt(2), |Y> = (|3>-|4>)/sqrt(2) enter only through the
+linear (control, probe) field amplitudes, which to_circular maps onto
+the circular pair, and through the probe readout rho_1X + rho_2Y, which
+the spectroscopy module takes in circular indices.
 
 Unit convention: every frequency-like quantity held by these types is an
 angular frequency in rad/s.  Configuration files, presets and the CLI use
@@ -31,19 +34,6 @@ CIRCULAR_LABELS = ("1", "2", "3", "4")
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
-
-# Unitary mixing the ground pair into/out of the linear basis.  The 2x2
-# ground block is a Hadamard, so the matrix is real, symmetric and its
-# own inverse.
-GROUND_MIX = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0 / SQRT2, 1.0 / SQRT2],
-        [0.0, 0.0, 1.0 / SQRT2, -1.0 / SQRT2],
-    ]
-)
-
 
 # Eigenvalues of a complex Hermitian matrix (divide and conquer), bound once.
 _heevd = get_lapack_funcs("heevd", (np.empty((1, 1), dtype=complex),))

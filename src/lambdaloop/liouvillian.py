@@ -26,7 +26,6 @@ from scipy.linalg import expm, get_lapack_funcs
 from .core import (
     AtomParams,
     DriveConfig,
-    GROUND_MIX,
     SimulationError,
     TWO_PI,
     validate_density_matrix,
@@ -61,12 +60,9 @@ def _op(i: int, j: int) -> np.ndarray:
 # partner multiplies the conjugate amplitude).
 COUPLING_FIELD1 = _op(1, 2) + _op(0, 2)          # |2><3| + |1><3|
 COUPLING_FIELD2 = _op(1, 3) - _op(0, 3)          # |2><4| - |1><4|
-COUPLING_CONTROL = _op(1, 2) + _op(0, 3)         # |2><X| + |1><Y|
-COUPLING_PROBE = _op(1, 3) + _op(0, 2)           # |2><Y| + |1><X|
 
 # Zeeman operator per unit delta_b and the excited-splitting projector.
 ZEEMAN_CIRCULAR = 0.5 * (_op(2, 2) - _op(3, 3))
-ZEEMAN_LINEAR = 0.5 * (_op(2, 3) + _op(3, 2))
 UPPER_PROJECTOR = _op(0, 0)
 
 # Complex LU factorisation and back-substitution, bound once.
@@ -93,8 +89,8 @@ def dissipator_superop(jump_ops) -> np.ndarray:
     return total
 
 
-def jump_operators(params: AtomParams, basis: str = "circular") -> list:
-    """Jump operators realizing the decay model in either basis."""
+def jump_operators(params: AtomParams) -> list:
+    """Jump operators realizing the decay model."""
     branch = math.sqrt(params.gamma_e / 2.0)
     reset = math.sqrt(params.gamma_pop / 2.0)
     ops = [
@@ -106,10 +102,6 @@ def jump_operators(params: AtomParams, basis: str = "circular") -> list:
     dephase = params.gamma_coh - params.gamma_pop
     if dephase > 0.0:
         ops.append(math.sqrt(dephase / 2.0) * (_op(2, 2) - _op(3, 3)))
-    if basis == "linear":
-        ops = [GROUND_MIX @ L @ GROUND_MIX for L in ops]
-    elif basis != "circular":
-        raise ValueError(f"unknown basis {basis!r}")
     return ops
 
 
@@ -141,28 +133,15 @@ class GeneratorTemplate:
         return (coeffs @ self._flat).reshape(DIM * DIM, DIM * DIM)
 
 
-def _template(params: AtomParams, basis: str, zeeman: np.ndarray,
-              coupling_a: np.ndarray,
-              coupling_b: np.ndarray) -> GeneratorTemplate:
+def circular_template(params: AtomParams) -> GeneratorTemplate:
+    """Template over (delta_b, Omega_1, Omega_2) in the circular basis."""
     static = (params.delta_exc * commutator_superop(UPPER_PROJECTOR)
-              + dissipator_superop(jump_operators(params, basis)))
-    pieces = [static, commutator_superop(zeeman)]
-    for coupling in (coupling_a, coupling_b):
+              + dissipator_superop(jump_operators(params)))
+    pieces = [static, commutator_superop(ZEEMAN_CIRCULAR)]
+    for coupling in (COUPLING_FIELD1, COUPLING_FIELD2):
         pieces += [commutator_superop(coupling),
                    commutator_superop(coupling.conj().T)]
     return GeneratorTemplate(np.stack(pieces))
-
-
-def circular_template(params: AtomParams) -> GeneratorTemplate:
-    """Template over (delta_b, Omega_1, Omega_2) in the circular basis."""
-    return _template(params, "circular", ZEEMAN_CIRCULAR,
-                     COUPLING_FIELD1, COUPLING_FIELD2)
-
-
-def linear_template(params: AtomParams) -> GeneratorTemplate:
-    """Template over (delta_b, Omega_c, Omega_p) in the linear basis."""
-    return _template(params, "linear", ZEEMAN_LINEAR,
-                     COUPLING_CONTROL, COUPLING_PROBE)
 
 
 def nullspace_dimension(generator: np.ndarray) -> int:

@@ -8,14 +8,25 @@ rho_+ exp(-i*delta*t) obeying
 
     (-i*delta - L0) rho_+ = -i [V_p, rho_ss] * eta
 
-with L0 the degenerate generator and V_p = |2><Y| + |1><X| the probe
-coupling operator.  The reported susceptibility sample is
+with L0 the degenerate generator and V_p the probe coupling operator.
+The probe is the linear mode Omega_p = (Omega_1 - Omega_2)/sqrt(2) of
+the circular pair, so with the circular couplings V_1 = |2><3| + |1><3|
+and V_2 = |2><4| - |1><4|
 
-    chi(delta) = -(rho_+[1,X] + rho_+[2,Y]) / eta
+    V_p = (V_1 - V_2)/sqrt(2) = (|1><3| + |1><4| + |2><3| - |2><4|)/sqrt(2),
 
-with the overall sign fixed so that Im(chi) > 0 means absorption and a
-rising Re(chi) through two-photon resonance means slow light; the plain
-lambda limit then reproduces the textbook EIT lineshape (see tests).
+which is |1><X| + |2><Y| in the linear ground basis; its superoperator
+pair is (drive_a - drive_b)/sqrt(2) and (drive_a_conj -
+drive_b_conj)/sqrt(2) of the circular template.  The reported
+susceptibility sample reads the same combination of coherences,
+
+    chi(delta) = -(rho_+[1,3] + rho_+[1,4] + rho_+[2,3] - rho_+[2,4])
+                 / (sqrt(2) * eta),
+
+that is -(rho_+[1,X] + rho_+[2,Y]) / eta, with the overall sign fixed
+so that Im(chi) > 0 means absorption and a rising Re(chi) through
+two-photon resonance means slow light; the plain lambda limit then
+reproduces the textbook EIT lineshape (see tests).
 Linearizing around the carrier-inclusive steady state is what gives the
 spectra their dependence on the relative phase and the magnetic field:
 with the carrier removed, the response at the probe frequency carries
@@ -52,6 +63,7 @@ from .core import (
     AtomParams,
     Curve,
     DriveConfig,
+    SQRT2,
     TWO_PI,
     _require_finite,
     hz_to_angular,
@@ -61,7 +73,6 @@ from .liouvillian import (
     TRACE_ROW,
     SteadyStateError,
     circular_template,
-    linear_template,
     refined_solve,
     steady_state_matrix,
 )
@@ -81,6 +92,12 @@ CHI_SIGN = -1.0
 PULSE_SPECTRUM_CUTOFF = 1e-8
 
 _I16 = np.eye(16, dtype=complex)
+
+#: Row functional reading the probe coherence rho_1X + rho_2Y off a
+#: vectorised circular-basis state: (rho_13 + rho_14 + rho_23 - rho_24)
+#: / sqrt(2).
+_PROBE_ROW = np.zeros(16, dtype=complex)
+_PROBE_ROW[[2, 3, 6, 7]] = np.array([1.0, 1.0, 1.0, -1.0]) / SQRT2
 
 #: Picks the sideband seed coefficients of each drive piece (rows) from
 #: (state, conj(state)) of the transfer march: (e1, conj m1c, e2,
@@ -173,27 +190,33 @@ def _warn_if_strong_probe(drive: DriveConfig, stacklevel: int) -> None:
 
 
 def _operating_point(params: AtomParams, drive: DriveConfig):
-    """Linear template, degenerate generator gen0 and its vectorised
-    steady state: the point every first-order sideband linearizes around."""
-    template = linear_template(params)
-    gen0 = template.generator(
-        drive.delta_b, drive.omega_c, drive.probe_amplitude
-    )
-    return template, gen0, steady_state_matrix(gen0).reshape(-1)
+    """The point every first-order sideband linearizes around.
+
+    Returns the degenerate circular-basis generator gen0 at the input
+    fields, its vectorised steady state and the probe-sideband
+    superoperators (probe, probe_conj) = (drive_a - drive_b)/sqrt(2) and
+    (drive_a_conj - drive_b_conj)/sqrt(2): the derivatives of the
+    generator in Omega_p and conj(Omega_p), which enter the circular
+    pair as +Omega_p/sqrt(2) and -Omega_p/sqrt(2).
+    """
+    template = circular_template(params)
+    gen0 = template.generator(drive.delta_b, *input_fields(drive))
+    probe, probe_conj = (template.basis[2:4] - template.basis[4:6]) / SQRT2
+    return gen0, steady_state_matrix(gen0).reshape(-1), probe, probe_conj
 
 
 def _chi(rho_plus: np.ndarray) -> complex:
     """chi from a first-order sideband vector per unit sideband Rabi."""
-    rho_plus = rho_plus.reshape(4, 4)
-    return CHI_SIGN * (rho_plus[0, 2] + rho_plus[1, 3])
+    return CHI_SIGN * (_PROBE_ROW @ rho_plus)
 
 
-def _truncation_estimate(template, gen0, delta, first, eta) -> float:
+def _truncation_estimate(gen0, probe, probe_conj, delta, first,
+                         eta) -> float:
     """Relative first-harmonic correction that the dropped n = 2
     harmonic would feed back, with eta the sideband amplitude and first
     the first-sideband solution at delta."""
-    second = _solve_sideband(gen0, 2.0 * delta, template.drive_b @ first)
-    back = _solve_sideband(gen0, delta, template.drive_b_conj @ second)
+    second = _solve_sideband(gen0, 2.0 * delta, probe @ first)
+    back = _solve_sideband(gen0, delta, probe_conj @ second)
     norm_first = np.linalg.norm(first)
     if norm_first == 0.0:
         return 0.0
@@ -224,13 +247,14 @@ def weak_probe_response(params: AtomParams, drive: DriveConfig) -> complex:
     n = 2 harmonic would feed back.
     """
     _warn_if_strong_probe(drive, stacklevel=2)
-    template, gen0, rho0 = _operating_point(params, drive)
+    gen0, rho0, probe, probe_conj = _operating_point(params, drive)
     delta = drive.delta_probe
-    first = _solve_sideband(gen0, delta, template.drive_b @ rho0)
+    first = _solve_sideband(gen0, delta, probe @ rho0)
     eta = drive.omega_p
     if eta != 0.0:
         _warn_if_truncated(
-            _truncation_estimate(template, gen0, delta, first, eta),
+            _truncation_estimate(gen0, probe, probe_conj, delta, first,
+                                 eta),
             delta, stacklevel=2,
         )
     return _chi(first)
@@ -245,8 +269,8 @@ def refractive_spectrum(params: AtomParams, drive: DriveConfig,
     """
     deltas_hz = _checked_grid(deltas_hz)
     _warn_if_strong_probe(drive, stacklevel=2)
-    template, gen0, rho0 = _operating_point(params, drive)
-    seed = template.drive_b @ rho0
+    gen0, rho0, probe, probe_conj = _operating_point(params, drive)
+    seed = probe @ rho0
     eta = drive.omega_p
     ys = []
     worst = (0.0, 0.0)
@@ -256,7 +280,7 @@ def refractive_spectrum(params: AtomParams, drive: DriveConfig,
         ys.append(_chi(first))
         if eta != 0.0:
             worst = max(worst, (_truncation_estimate(
-                template, gen0, delta, first, eta), delta))
+                gen0, probe, probe_conj, delta, first, eta), delta))
     _warn_if_truncated(*worst, stacklevel=2)
     return Curve("delta_hz", deltas_hz, ys)
 
@@ -328,8 +352,7 @@ def _chi_timedomain_once(gen0, rho_start, eta, delta, up, dn, periods,
     for _ in range(n):
         rho = step(rho, t + 0.5 * dt)
         t += dt
-        mat = rho.reshape(4, 4)
-        acc += (mat[0, 2] + mat[1, 3]) * np.exp(1j * delta * t)
+        acc += (_PROBE_ROW @ rho) * np.exp(1j * delta * t)
     return acc / n
 
 
@@ -351,9 +374,8 @@ def chi_probe_timedomain(params: AtomParams, drive: DriveConfig,
     if delta_hz == 0.0:
         raise ValueError("the lock-in oracle needs a nonzero detuning")
     delta = hz_to_angular(delta_hz)
-    template, gen0, rho_start = _operating_point(params, drive)
+    gen0, rho_start, up, dn = _operating_point(params, drive)
     eta = sideband_fraction * (drive.omega_p or drive.omega_c)
-    up, dn = template.drive_b, template.drive_b_conj
     settle_time = 10.0 / min(params.gamma_pop, params.gamma_coh)
 
     coarse = _chi_timedomain_once(

@@ -8,7 +8,55 @@ from lambdaloop import (
     preset_atom,
     preset_drive,
 )
-from lambdaloop.liouvillian import circular_template
+from lambdaloop.liouvillian import (
+    UPPER_PROJECTOR,
+    circular_template,
+    commutator_superop,
+    dissipator_superop,
+    jump_operators,
+)
+
+# Unitary mixing the ground pair into/out of the linear basis
+# |X> = (|3>+|4>)/sqrt(2), |Y> = (|3>-|4>)/sqrt(2).  The 2x2 ground block
+# is a Hadamard, so the matrix is real, symmetric and its own inverse.
+GROUND_MIX = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)],
+        [0.0, 0.0, 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)],
+    ]
+)
+
+
+def _op(i, j):
+    m = np.zeros((4, 4), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+# Linear-basis operators, indices 2 and 3 being |X> and |Y>.
+COUPLING_CONTROL = _op(1, 2) + _op(0, 3)         # |2><X| + |1><Y|
+COUPLING_PROBE = _op(1, 3) + _op(0, 2)           # |2><Y| + |1><X|
+ZEEMAN_LINEAR = 0.5 * (_op(2, 3) + _op(3, 2))
+
+
+def linear_generator(atom, drive):
+    """16x16 generator written in the linear ground basis.
+
+    Built from its own operators (control and probe couplings, the
+    linear Zeeman term and the decay rotated by GROUND_MIX) rather than
+    from circular_template, so it is an independent oracle for the
+    circular model: the two must agree under kron(GROUND_MIX, GROUND_MIX).
+    """
+    jumps = [GROUND_MIX @ L @ GROUND_MIX for L in jump_operators(atom)]
+    coupling = (drive.omega_c * COUPLING_CONTROL
+                + drive.probe_amplitude * COUPLING_PROBE)
+    hamiltonian = (drive.delta_b * ZEEMAN_LINEAR + coupling
+                   + coupling.conj().T)
+    return (atom.delta_exc * commutator_superop(UPPER_PROJECTOR)
+            + dissipator_superop(jumps)
+            + commutator_superop(hamiltonian))
 
 
 def circular_generator(params, drive, fields=None):

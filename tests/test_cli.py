@@ -259,6 +259,17 @@ def test_main_solver_failure_exits_one(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_steps_floor_only_for_z_marches(tmp_path, monkeypatch, capsys):
+    # steady solves no z grid, so a short one is not an error there.
+    monkeypatch.chdir(tmp_path)
+    assert main(["steady", "--preset", "fig3-cold", "--steps", "8",
+                 "--out", "steady"]) == 0
+    config = tmp_path / "short.cfg"
+    config.write_text("preset = fig3-cold\nod = 0\nsteps = 8\n")
+    assert main(["transmit", "--config", str(config)]) == 2
+    assert "line 3: steps must be >= 16, got 8" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "mode", ["steady", "transmit", "sweep-phase", "sweep-b", "spectrum",
              "pulse"],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import GROUND_MIX
 from lambdaloop import core
 from lambdaloop import (
     AtomParams,
@@ -10,7 +11,6 @@ from lambdaloop import (
     to_linear,
 )
 from lambdaloop.core import (
-    GROUND_MIX,
     RateHierarchyWarning,
     hz_to_angular,
     validate_density_matrix,

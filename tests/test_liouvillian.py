@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import circular_generator
+from conftest import GROUND_MIX, circular_generator, linear_generator
 from lambdaloop import (
     AtomParams,
     DriveConfig,
@@ -15,22 +15,18 @@ from lambdaloop import (
     substitution_image,
     time_evolve,
 )
-from lambdaloop.core import GROUND_MIX, hz_to_angular
+from lambdaloop.core import hz_to_angular
 from lambdaloop import liouvillian
 from lambdaloop.liouvillian import (
-    COUPLING_CONTROL,
     COUPLING_FIELD1,
     COUPLING_FIELD2,
-    COUPLING_PROBE,
     TRACE_ROW,
     UPPER_PROJECTOR,
     ZEEMAN_CIRCULAR,
-    ZEEMAN_LINEAR,
     circular_template,
     commutator_superop,
     dissipator_superop,
     jump_operators,
-    linear_template,
     refined_solve,
 )
 
@@ -91,11 +87,9 @@ class TestHamiltonian:
         # The cold preset has gamma_coh = gamma_pop, so unlike the warm
         # check below no dephasing jump operator enters.
         mix = np.kron(GROUND_MIX, GROUND_MIX)
-        template = linear_template(cold_atom)
         for _ in range(5):
             drive = random_drive(rng, 20e3, 5e3)
-            gen_l = template.generator(drive.delta_b, drive.omega_c,
-                                       drive.probe_amplitude)
+            gen_l = linear_generator(cold_atom, drive)
             rotated = mix @ circular_generator(cold_atom, drive) @ mix
             assert np.max(np.abs(rotated - gen_l)) < 1e-12 * np.max(
                 np.abs(gen_l)
@@ -146,9 +140,7 @@ class TestGenerator:
     def test_linear_circular_unitary_equivalence(self, warm_atom, rng):
         drive = random_drive(rng, 240e3, 60e3)
         gen_c = circular_generator(warm_atom, drive)
-        gen_l = linear_template(warm_atom).generator(
-            drive.delta_b, drive.omega_c, drive.probe_amplitude
-        )
+        gen_l = linear_generator(warm_atom, drive)
         mix = np.kron(GROUND_MIX, GROUND_MIX)
         assert np.max(np.abs(mix @ gen_c @ mix - gen_l)) < 1e-12 * np.max(
             np.abs(gen_l)
@@ -159,34 +151,26 @@ class TestGenerator:
         # The pieces are rebuilt here from the operators, so the order of
         # the stacked basis is checked as well as the product.
         atom = preset_atom(preset)
-        static_base = atom.delta_exc * commutator_superop(UPPER_PROJECTOR)
-        cases = [
-            (circular_template, "circular", ZEEMAN_CIRCULAR,
-             COUPLING_FIELD1, COUPLING_FIELD2),
-            (linear_template, "linear", ZEEMAN_LINEAR,
-             COUPLING_CONTROL, COUPLING_PROBE),
-        ]
-        for make, basis, zeeman, coupling_a, coupling_b in cases:
-            template = make(atom)
-            static = static_base + dissipator_superop(
-                jump_operators(atom, basis))
-            for _ in range(10):
-                delta_b = rng.normal() * 1e3
-                amp_a, amp_b = (complex(*rng.normal(size=2)) * 1e5
-                                for _ in range(2))
-                expected = (
-                    static
-                    + delta_b * commutator_superop(zeeman)
-                    + amp_a * commutator_superop(coupling_a)
-                    + np.conj(amp_a) * commutator_superop(coupling_a.conj().T)
-                    + amp_b * commutator_superop(coupling_b)
-                    + np.conj(amp_b) * commutator_superop(coupling_b.conj().T)
-                )
-                got = template.generator(delta_b, amp_a, amp_b)
-                assert got.shape == (16, 16)
-                assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(
-                    np.abs(expected))
-            assert np.shares_memory(template.drive_b, template.basis)
+        template = circular_template(atom)
+        static = (atom.delta_exc * commutator_superop(UPPER_PROJECTOR)
+                  + dissipator_superop(jump_operators(atom)))
+        for _ in range(10):
+            delta_b = rng.normal() * 1e3
+            amp_a, amp_b = (complex(*rng.normal(size=2)) * 1e5
+                            for _ in range(2))
+            expected = (
+                static
+                + delta_b * commutator_superop(ZEEMAN_CIRCULAR)
+                + amp_a * commutator_superop(COUPLING_FIELD1)
+                + np.conj(amp_a) * commutator_superop(COUPLING_FIELD1.conj().T)
+                + amp_b * commutator_superop(COUPLING_FIELD2)
+                + np.conj(amp_b) * commutator_superop(COUPLING_FIELD2.conj().T)
+            )
+            got = template.generator(delta_b, amp_a, amp_b)
+            assert got.shape == (16, 16)
+            assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(
+                np.abs(expected))
+        assert np.shares_memory(template.drive_b, template.basis)
 
     def test_rejects_coherence_faster_than_population(self):
         # The decay model needs a non-negative extra dephasing rate, so
@@ -349,12 +333,8 @@ class TestSubstitutionImage:
         # |rho_1X + rho_2Y| from the steady state is identical between a
         # drive and its substitution image.
         for params, oc, op in ((cold_atom, 20e3, 5e3), (warm_atom, 240e3, 60e3)):
-            template = linear_template(params)
-
             def coherence(d):
-                gen = template.generator(d.delta_b, d.omega_c,
-                                         d.probe_amplitude)
-                rho = steady_state_matrix(gen)
+                rho = steady_state_matrix(linear_generator(params, d))
                 return abs(rho[0, 2] + rho[1, 3])
 
             drive = random_drive(rng, oc, op)

@@ -8,15 +8,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import circular_generator
+from conftest import GROUND_MIX, circular_generator, linear_generator
 from lambdaloop import (
     AtomParams,
     DriveConfig,
     steady_state_matrix,
     substitution_image,
 )
-from lambdaloop.core import GROUND_MIX, validate_density_matrix
-from lambdaloop.liouvillian import STEADY_RESIDUAL_TOL, linear_template
+from lambdaloop.core import validate_density_matrix
+from lambdaloop.liouvillian import STEADY_RESIDUAL_TOL
 from lambdaloop.presets import preset_values
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None)
@@ -42,9 +42,7 @@ def atom_and_drive(draw):
 
 
 def linear_steady_state(atom, drive):
-    gen = linear_template(atom).generator(drive.delta_b, drive.omega_c,
-                                          drive.probe_amplitude)
-    return steady_state_matrix(gen)
+    return steady_state_matrix(linear_generator(atom, drive))
 
 
 @PROPERTY_SETTINGS

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import COUPLING_PROBE, GROUND_MIX
 from lambdaloop import (
     AtomParams,
     Curve,
@@ -30,7 +31,7 @@ from lambdaloop import (
     weak_probe_response,
 )
 from lambdaloop import liouvillian, spectroscopy
-from lambdaloop.liouvillian import circular_template
+from lambdaloop.liouvillian import circular_template, commutator_superop
 from lambdaloop.spectroscopy import _solve_sideband, apply_transfer, peak_time
 
 STRONG_PROBE = DriveConfig.from_hz(0.0, 0.0, 240e3, 120e3)
@@ -119,6 +120,30 @@ class TestOracleAgreement:
     def test_rejects_zero_detuning(self, warm_atom, warm_drive):
         with pytest.raises(ValueError, match="nonzero"):
             chi_probe_timedomain(warm_atom, warm_drive, 0.0)
+
+
+class TestCircularProbeReadout:
+    """The probe sideband is driven and read in circular indices; seen
+    through the ground Hadamard these are the linear-basis probe
+    coupling |1><X| + |2><Y| and the coherence rho_1X + rho_2Y."""
+
+    @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
+    def test_pieces_and_readout_are_rotated_linear_ones(self, name):
+        mix = np.kron(GROUND_MIX, GROUND_MIX)
+        *_, probe, probe_conj = spectroscopy._operating_point(
+            preset_atom(name), preset_drive(name)
+        )
+        linear_row = np.zeros(16)
+        linear_row[[2, 7]] = 1.0           # rho_1X, rho_2Y
+        cases = (
+            (mix @ probe @ mix, commutator_superop(COUPLING_PROBE)),
+            (mix @ probe_conj @ mix,
+             commutator_superop(COUPLING_PROBE.conj().T)),
+            (spectroscopy._PROBE_ROW @ mix, linear_row),
+        )
+        for got, expected in cases:
+            assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(
+                np.abs(expected))
 
 
 class TestResponseProperties:

@@ -17,14 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    CIRCULAR_LABELS,
-    AtomParams,
-    DriveConfig,
-    hz_to_angular,
-    input_fields,
-)
-from .presets import PRESETS, preset_names
+from .core import CIRCULAR_LABELS, AtomParams, DriveConfig, input_fields
+from .presets import ATOM_KEYS, DRIVE_KEYS, PRESETS, from_keys, preset_names
 from .propagation import transmission
 from .liouvillian import circular_template, steady_state_matrix
 from .spectroscopy import (
@@ -40,30 +34,18 @@ SWEEP_MODES = ("sweep-phase", "sweep-b", "spectrum")
 #: Modes that march in z, whose sidecars record the grid's n_steps.
 Z_MARCH_MODES = ("transmit", "sweep-phase", "sweep-b", "pulse")
 
-ATOM_KEYS = ("gamma_e_hz", "gamma_pop_hz", "gamma_coh_hz", "delta_exc_hz",
-             "od", "cell_length_m")
-DRIVE_KEYS = ("delta_b_hz", "phi_rad", "omega_c_hz", "omega_p_hz",
-              "delta_probe_hz")
-SWEEP_KEYS = ("sweep_start", "sweep_stop", "points")
-
-FLOAT_KEYS = set(ATOM_KEYS) | set(DRIVE_KEYS) | {
-    "sweep_start", "sweep_stop", "fwhm_s", "peak_omega_p_hz",
-    "carrier_detuning_hz", "time_window_s",
+PULSE_KEYS = {
+    "fwhm": "fwhm_s", "peak_omega_p": "peak_omega_p_hz",
+    "carrier_detuning": "carrier_detuning_hz",
+    "time_window": "time_window_s", "n_samples": "n_samples",
 }
-INT_KEYS = {"points", "steps", "n_samples"}
+SWEEP_KEYS = ("sweep_start", "sweep_stop", "points")
 
 # AtomParams / DriveConfig / PulseSpec field -> the config key that sets
 # it, so that a rejected value is reported at its own line.
-FIELD_KEYS = {
-    "gamma_e": "gamma_e_hz", "gamma_pop": "gamma_pop_hz",
-    "gamma_coh": "gamma_coh_hz", "delta_exc": "delta_exc_hz",
-    "optical_depth": "od", "cell_length": "cell_length_m",
-    "delta_b": "delta_b_hz", "phi": "phi_rad", "omega_c": "omega_c_hz",
-    "omega_p": "omega_p_hz", "delta_probe": "delta_probe_hz",
-    "fwhm": "fwhm_s", "time_window": "time_window_s",
-    "n_samples": "n_samples", "peak_omega_p": "peak_omega_p_hz",
-    "carrier_detuning": "carrier_detuning_hz",
-}
+FIELD_KEYS = {**ATOM_KEYS, **DRIVE_KEYS, **PULSE_KEYS}
+INT_KEYS = {"points", "steps", "n_samples"}
+FLOAT_KEYS = (set(FIELD_KEYS.values()) | set(SWEEP_KEYS)) - INT_KEYS
 STRING_KEYS = {"mode", "preset", "out"}
 ALL_KEYS = FLOAT_KEYS | INT_KEYS | STRING_KEYS
 
@@ -88,12 +70,6 @@ class RunConfig:
     mode: str
     atom: AtomParams
     drive: DriveConfig
-    out: str = "run"
-    n_steps: int = 256
-    preset: str | None = None
-    sweep_start: float | None = None
-    sweep_stop: float | None = None
-    points: int | None = None
     pulse: PulseSpec | None = None
     raw: dict = field(default_factory=dict, compare=False)
 
@@ -159,7 +135,7 @@ def _resolve(entries: dict) -> RunConfig:
         values["preset"] = preset
 
     mode = values.get("mode")
-    required = {"mode"} | set(ATOM_KEYS) | set(DRIVE_KEYS)
+    required = {"mode"} | set(ATOM_KEYS.values()) | set(DRIVE_KEYS.values())
     if mode in SWEEP_MODES:
         required |= set(SWEEP_KEYS)
     if mode == "pulse":
@@ -182,35 +158,19 @@ def _resolve(entries: dict) -> RunConfig:
         where = f"line {line}: " if line is not None else ""
         raise ConfigError(f"{where}{message}")
 
-    def err_fields(exc, what):
-        """Report at the line of the first field the message names that
-        the config sets explicitly."""
-        named = [FIELD_KEYS[w] for w in re.findall(r"\w+", str(exc))
-                 if w in FIELD_KEYS]
-        key = next((k for k in named if lines.get(k) is not None), None)
-        err(key, f"invalid {what} parameters: {exc}")
+    def build(cls, keys, what):
+        """cls from the values; a rejection is reported at the line of the
+        first field its message names that the config sets explicitly."""
+        try:
+            return from_keys(cls, keys, values)
+        except ValueError as exc:
+            named = [FIELD_KEYS[w] for w in re.findall(r"\w+", str(exc))
+                     if w in FIELD_KEYS]
+            key = next((k for k in named if lines.get(k) is not None), None)
+            err(key, f"invalid {what} parameters: {exc}")
 
-    try:
-        atom = AtomParams.from_hz(
-            gamma_e_hz=values["gamma_e_hz"],
-            gamma_pop_hz=values["gamma_pop_hz"],
-            gamma_coh_hz=values["gamma_coh_hz"],
-            delta_exc_hz=values["delta_exc_hz"],
-            optical_depth=values["od"],
-            cell_length=values["cell_length_m"],
-        )
-    except ValueError as exc:
-        err_fields(exc, "atom")
-    try:
-        drive = DriveConfig.from_hz(
-            delta_b_hz=values["delta_b_hz"],
-            phi_rad=values["phi_rad"],
-            omega_c_hz=values["omega_c_hz"],
-            omega_p_hz=values["omega_p_hz"],
-            delta_probe_hz=values["delta_probe_hz"],
-        )
-    except ValueError as exc:
-        err_fields(exc, "drive")
+    atom = build(AtomParams, ATOM_KEYS, "atom")
+    drive = build(DriveConfig, DRIVE_KEYS, "drive")
 
     if mode in Z_MARCH_MODES and values["steps"] < 16:
         err("steps", f"steps must be >= 16, got {values['steps']}")
@@ -219,32 +179,8 @@ def _resolve(entries: dict) -> RunConfig:
             err("points", f"sweep modes need points >= 2, got {values['points']}")
         if not values["sweep_stop"] > values["sweep_start"]:
             err("sweep_stop", "sweep_stop must exceed sweep_start")
-    pulse = None
-    if mode == "pulse":
-        try:
-            pulse = PulseSpec(
-                fwhm=values["fwhm_s"],
-                peak_omega_p=hz_to_angular(values["peak_omega_p_hz"]),
-                carrier_detuning=hz_to_angular(values["carrier_detuning_hz"]),
-                time_window=values.get("time_window_s"),
-                n_samples=values["n_samples"],
-            )
-        except ValueError as exc:
-            err_fields(exc, "pulse")
-
-    return RunConfig(
-        mode=mode,
-        atom=atom,
-        drive=drive,
-        out=values["out"],
-        n_steps=values["steps"],
-        preset=values.get("preset"),
-        sweep_start=values.get("sweep_start"),
-        sweep_stop=values.get("sweep_stop"),
-        points=values.get("points"),
-        pulse=pulse,
-        raw=dict(values),
-    )
+    pulse = build(PulseSpec, PULSE_KEYS, "pulse") if mode == "pulse" else None
+    return RunConfig(mode, atom, drive, pulse, raw=dict(values))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -290,10 +226,9 @@ def _write_sidecar(path: str, config: RunConfig, diagnostics: dict) -> None:
 
 
 def _sweep_grid(config: RunConfig, endpoint: bool) -> np.ndarray:
-    return np.linspace(
-        config.sweep_start, config.sweep_stop, config.points,
-        endpoint=endpoint,
-    )
+    raw = config.raw
+    return np.linspace(raw["sweep_start"], raw["sweep_stop"], raw["points"],
+                       endpoint=endpoint)
 
 
 # Each mode computes its result, adds to the diagnostics and returns the
@@ -310,7 +245,7 @@ def _steady(config: RunConfig, diagnostics: dict):
 
 
 def _transmit(config: RunConfig, diagnostics: dict):
-    value = transmission(config.atom, config.drive, config.n_steps,
+    value = transmission(config.atom, config.drive, config.raw["steps"],
                          stats=diagnostics)
     return ["transmission_ratio"], [[float(value)]]
 
@@ -320,7 +255,7 @@ def _transmission_sweep(sweep, endpoint: bool):
 
     def compute(config: RunConfig, diagnostics: dict):
         curve = sweep(config.atom, config.drive,
-                      _sweep_grid(config, endpoint), config.n_steps)
+                      _sweep_grid(config, endpoint), config.raw["steps"])
         diagnostics["modulation_depth"] = modulation_depth(curve)
         return ([curve.abscissa_name, "transmission_ratio"],
                 zip(curve.xs.tolist(), curve.ys.tolist()))
@@ -338,7 +273,7 @@ def _spectrum(config: RunConfig, diagnostics: dict):
 
 def _pulse(config: RunConfig, diagnostics: dict):
     curve, fractional_delay = pulse_response(
-        config.atom, config.drive, config.pulse, config.n_steps
+        config.atom, config.drive, config.pulse, config.raw["steps"]
     )
     diagnostics["fractional_delay"] = fractional_delay
     out = curve.ys
@@ -363,10 +298,11 @@ def run(config: RunConfig) -> int:
     """Execute a run and write <out>.csv plus <out>.json."""
     diagnostics: dict = {"mode": config.mode}
     if config.mode in Z_MARCH_MODES:
-        diagnostics["n_steps"] = config.n_steps
+        diagnostics["n_steps"] = config.raw["steps"]
     header, rows = RUNNERS[config.mode](config, diagnostics)
-    _write_csv(f"{config.out}.csv", header, rows)
-    _write_sidecar(f"{config.out}.json", config, diagnostics)
+    out = config.raw["out"]
+    _write_csv(f"{out}.csv", header, rows)
+    _write_sidecar(f"{out}.json", config, diagnostics)
     return 0
 
 

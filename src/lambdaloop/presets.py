@@ -7,7 +7,19 @@ enlarged effective excited-state width, with no velocity integration.
 """
 from __future__ import annotations
 
-from .core import AtomParams, DriveConfig
+from .core import AtomParams, DriveConfig, hz_to_angular
+
+# Dataclass field -> the config key that sets it.  A key ending in _hz is
+# an ordinary frequency, converted to rad/s on the way in.
+ATOM_KEYS = {
+    "gamma_e": "gamma_e_hz", "gamma_pop": "gamma_pop_hz",
+    "gamma_coh": "gamma_coh_hz", "delta_exc": "delta_exc_hz",
+    "optical_depth": "od", "cell_length": "cell_length_m",
+}
+DRIVE_KEYS = {
+    "delta_b": "delta_b_hz", "phi": "phi_rad", "omega_c": "omega_c_hz",
+    "omega_p": "omega_p_hz", "delta_probe": "delta_probe_hz",
+}
 
 PRESETS: dict[str, dict[str, float]] = {
     "fig3-cold": {
@@ -39,6 +51,18 @@ PRESETS: dict[str, dict[str, float]] = {
 }
 
 
+def from_keys(cls, keys: dict[str, str], values: dict):
+    """Build cls from config values through its field -> key table.
+
+    A key absent from values leaves its field at the dataclass default.
+    """
+    return cls(**{
+        name: hz_to_angular(values[key]) if key.endswith("_hz")
+        else values[key]
+        for name, key in keys.items() if key in values
+    })
+
+
 def preset_names() -> tuple[str, ...]:
     return tuple(sorted(PRESETS))
 
@@ -53,23 +77,8 @@ def preset_values(name: str) -> dict[str, float]:
 
 
 def preset_atom(name: str) -> AtomParams:
-    v = preset_values(name)
-    return AtomParams.from_hz(
-        gamma_e_hz=v["gamma_e_hz"],
-        gamma_pop_hz=v["gamma_pop_hz"],
-        gamma_coh_hz=v["gamma_coh_hz"],
-        delta_exc_hz=v["delta_exc_hz"],
-        optical_depth=v["od"],
-        cell_length=v["cell_length_m"],
-    )
+    return from_keys(AtomParams, ATOM_KEYS, preset_values(name))
 
 
 def preset_drive(name: str) -> DriveConfig:
-    v = preset_values(name)
-    return DriveConfig.from_hz(
-        delta_b_hz=v["delta_b_hz"],
-        phi_rad=v["phi_rad"],
-        omega_c_hz=v["omega_c_hz"],
-        omega_p_hz=v["omega_p_hz"],
-        delta_probe_hz=v["delta_probe_hz"],
-    )
+    return from_keys(DriveConfig, DRIVE_KEYS, preset_values(name))

@@ -328,11 +328,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    entries: dict = {}
+    text = ""
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                entries = _parse_lines(fh.read())
+                text = fh.read()
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
@@ -341,9 +341,10 @@ def main(argv=None) -> int:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    for key, value in overrides.items():
-        entries[key] = (str(value), None)
     try:
+        entries = _parse_lines(text)
+        for key, value in overrides.items():
+            entries[key] = (str(value), None)
         config = _resolve(entries)
         return run(config)
     except (ConfigError, ValueError) as exc:

@@ -245,6 +245,18 @@ def test_main_reports_config_errors(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("preset = fig3-cold\nbogus = 1\n", "line 2: unknown key 'bogus'"),
+    ("preset = fig3-cold\nod = 0\nod = 0.15\n",
+     "line 3: 'od' is already set on line 2"),
+], ids=["unknown-key", "repeated-key"])
+def test_main_reports_config_file_errors(tmp_path, capsys, text, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    assert main(["transmit", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_main_solver_failure_exits_one(tmp_path, monkeypatch, capsys):
     def fail(_generator):
         raise SteadyStateError("forced failure")

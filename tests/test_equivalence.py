@@ -3,11 +3,15 @@
 Every case is compared to `data/equivalence.json` to 1e-12 relative to
 the case's largest magnitude, so a refactor of the RK4 stepping, the
 field readout or the sideband solves that moves a result past rounding
-shows here.  The values were recorded before that code was shared;
-re-record them only for a change meant to move the physics, with one
-BLAS thread (a threaded BLAS moves the last bits of the existing cases):
+shows here.  The values were recorded before that code was shared.
+Running this file computes and appends only the cases missing from the
+data file; every pinned entry is kept as recorded.  Record with one BLAS
+thread (a threaded BLAS moves the last bits):
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_equivalence.py
+
+To re-record a case for a change meant to move the physics, delete its
+entry first.
 """
 import json
 import warnings
@@ -123,10 +127,11 @@ def _flat(value) -> np.ndarray:
 
 
 def _record() -> None:
-    pinned = {
-        name: [[z.real, z.imag] for z in _flat(case())]
-        for name, case in CASES.items()
-    }
+    """Append the cases missing from DATA; keep the pinned ones."""
+    pinned = json.loads(DATA.read_text()) if DATA.exists() else {}
+    for name, case in CASES.items():
+        if name not in pinned:
+            pinned[name] = [[z.real, z.imag] for z in _flat(case())]
     lines = [f" {json.dumps(name)}: {json.dumps(values)}"
              for name, values in pinned.items()]
     DATA.parent.mkdir(exist_ok=True)
@@ -148,6 +153,21 @@ def test_matches_pinned(name, pinned):
         f"{name}: max deviation {worst:.3e} against scale "
         f"{np.max(np.abs(expected)):.3e}"
     )
+
+
+def test_record_appends_only_missing_cases(tmp_path, monkeypatch):
+    kept, added = "bare_transition_fig3-cold_64", "bare_transition_fig4-warm_64"
+    data = tmp_path / "equivalence.json"
+    data.write_text(json.dumps({kept: [[0.5, -0.25]]}))
+    monkeypatch.setitem(globals(), "DATA", data)
+    monkeypatch.setitem(globals(), "CASES",
+                        {name: CASES[name] for name in (kept, added)})
+    _record()
+    recorded = json.loads(data.read_text())
+    assert list(recorded) == [kept, added]
+    assert recorded[kept] == [[0.5, -0.25]]
+    assert recorded[added] == [[z.real, z.imag]
+                               for z in _flat(CASES[added]())]
 
 
 if __name__ == "__main__":

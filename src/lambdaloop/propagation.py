@@ -212,7 +212,6 @@ def bare_transition_transmission(params: AtomParams,
     if omega_probe is None:
         omega_probe = 1e-4 * gamma
     kappa = calibrate_kappa(params)
-    h = params.cell_length / n_steps
     eye2 = np.eye(2)
     jump = np.array([[0.0, 0.0], [math.sqrt(gamma), 0.0]], dtype=complex)
     ldl = jump.conj().T @ jump
@@ -235,7 +234,5 @@ def bare_transition_transmission(params: AtomParams,
     def rhs(amp, _z):
         return -1j * kappa * coherence(amp)
 
-    amp = complex(omega_probe)
-    for k in range(n_steps):
-        amp = rk4_step(rhs, amp, k * h, h)
+    amp = z_march(rhs, complex(omega_probe), params.cell_length, n_steps)[-1]
     return abs(amp) ** 2 / omega_probe**2

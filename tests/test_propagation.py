@@ -232,6 +232,15 @@ class TestFailurePaths:
             march(cold_atom, cold_drive, self.N_STEPS)
         assert str(info.value) == f"field diverged at z = {6 * h:.6g} m"
 
+    def test_bare_transition_divergence_names_z(self, cold_atom, monkeypatch):
+        # An infinite kappa makes the field non-finite in the first step.
+        monkeypatch.setattr(propagation, "calibrate_kappa", lambda _: np.inf)
+        h = cold_atom.cell_length / self.N_STEPS
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(PropagationError) as info:
+            bare_transition_transmission(cold_atom, n_steps=self.N_STEPS)
+        assert str(info.value) == f"field diverged at z = {h:.6g} m"
+
     def test_non_finite_generator_names_z(self, cold_atom, cold_drive):
         # NaN input fields give a NaN generator at the first stage, z = 0.
         fields = np.array([np.nan, 1.0 + 0j])

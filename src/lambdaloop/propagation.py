@@ -187,13 +187,8 @@ def transmission(params: AtomParams, drive: DriveConfig, n_steps: int = 256,
         fields_in, params, drive, n_steps,
         verify_refinement=verify_refinement, stats=stats,
     )
-    # Input power on Python complexes, an integrated output on numpy
-    # scalars (they round x / sqrt(2) apart), as the pinned values were
-    # recorded; an empty cell returns its input, so its ratio is exactly 1.
-    p_in, _ = probe_power(fields_in.tolist())
-    p_out = p_in
-    if calibrate_kappa(params) != 0.0:
-        p_out, _ = probe_power(profile[-1])
+    p_in, _ = probe_power(fields_in)
+    p_out, _ = probe_power(profile[-1])
     return p_out / p_in if p_in > 0.0 else 0.0
 
 

@@ -1,16 +1,26 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from lambdaloop import propagation
+from lambdaloop import AtomParams, DriveConfig, PulseSpec, propagation
 from lambdaloop.liouvillian import SteadyStateError
 from lambdaloop.cli import (
+    PULSE_KEYS,
     ConfigError,
     emit_config,
     main,
     parse_config,
     run,
+)
+from lambdaloop.presets import (
+    ATOM_KEYS,
+    DRIVE_KEYS,
+    preset_atom,
+    preset_drive,
+    preset_names,
+    preset_values,
 )
 
 COLD_TRANSMIT = """
@@ -128,6 +138,23 @@ def test_warm_preset_expansion():
     assert cfg.atom.optical_depth == 15.0
     assert cfg.drive.omega_c == pytest.approx(2 * np.pi * 240e3)
     assert cfg.drive.omega_p == pytest.approx(2 * np.pi * 60e3)
+
+
+def test_key_tables_cover_every_field():
+    for cls, keys in ((AtomParams, ATOM_KEYS), (DriveConfig, DRIVE_KEYS),
+                      (PulseSpec, PULSE_KEYS)):
+        assert set(keys) == {f.name for f in fields(cls)}
+    # The tables build the presets exactly as the positional constructors.
+    for name in preset_names():
+        v = preset_values(name)
+        assert preset_atom(name) == AtomParams.from_hz(
+            v["gamma_e_hz"], v["gamma_pop_hz"], v["gamma_coh_hz"],
+            v["delta_exc_hz"], v["od"], v["cell_length_m"],
+        )
+        assert preset_drive(name) == DriveConfig.from_hz(
+            v["delta_b_hz"], v["phi_rad"], v["omega_c_hz"], v["omega_p_hz"],
+            v["delta_probe_hz"],
+        )
 
 
 def test_explicit_keys_override_preset():

@@ -10,6 +10,7 @@ diagnostics.  Identical configurations produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -172,6 +173,8 @@ def _resolve(entries: dict) -> RunConfig:
     atom = build(AtomParams, ATOM_KEYS, "atom")
     drive = build(DriveConfig, DRIVE_KEYS, "drive")
 
+    if mode in ("transmit", "sweep-phase", "sweep-b") and drive.omega_p == 0.0:
+        err("omega_p_hz", "transmission requires a nonzero probe amplitude")
     if mode in Z_MARCH_MODES and values["steps"] < 16:
         err("steps", f"steps must be >= 16, got {values['steps']}")
     if mode in SWEEP_MODES:
@@ -306,7 +309,9 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="lambdaloop",
         description="Four-level closed-loop atomic medium simulator",

@@ -181,19 +181,22 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     """
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise ValueError("matrix has non-finite entries")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > HERMITICITY_TOL:
+    adjoint = rho.conj().T
+    herm = np.abs(rho - adjoint).max()
+    # A non-finite entry makes herm inf or NaN, so it lands here.
+    if not herm <= HERMITICITY_TOL:
+        if not np.isfinite(rho).all():
+            raise ValueError("matrix has non-finite entries")
         raise ValueError(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
     tr = rho.trace()
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    eigs, _, info = _heevd(0.5 * (rho + rho.conj().T), compute_v=0, lower=1)
+    # heevd returns the eigenvalues in ascending order.
+    eigs, _, info = _heevd(0.5 * (rho + adjoint), compute_v=0, lower=1)
     if info != 0:
         raise ValueError(f"eigenvalue solver failed (LAPACK info {info})")
-    if eigs.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"negative eigenvalue {eigs.min():.3e} below floor")
+    if eigs[0] < EIGENVALUE_FLOOR:
+        raise ValueError(f"negative eigenvalue {eigs[0]:.3e} below floor")
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,6 +17,7 @@ States are vectorized row-major: vec(A rho B) = (A kron B^T) vec(rho).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,20 +129,30 @@ class GeneratorTemplate:
     drive_b_conj = property(lambda self: self.basis[5])
 
     def generator(self, delta_b: float, amp_a: complex, amp_b: complex) -> np.ndarray:
+        # Python complexes build the coefficient array faster than the
+        # numpy scalars callers index out of field arrays.
+        amp_a, amp_b = complex(amp_a), complex(amp_b)
         coeffs = np.array([1.0, delta_b, amp_a, amp_a.conjugate(),
                            amp_b, amp_b.conjugate()], dtype=complex)
         return (coeffs @ self._flat).reshape(DIM * DIM, DIM * DIM)
 
 
+@functools.lru_cache(maxsize=16)
 def circular_template(params: AtomParams) -> GeneratorTemplate:
-    """Template over (delta_b, Omega_1, Omega_2) in the circular basis."""
+    """Template over (delta_b, Omega_1, Omega_2) in the circular basis.
+
+    Built once per distinct AtomParams and shared: the basis is read-only
+    and generator() returns a fresh array.
+    """
     static = (params.delta_exc * commutator_superop(UPPER_PROJECTOR)
               + dissipator_superop(jump_operators(params)))
     pieces = [static, commutator_superop(ZEEMAN_CIRCULAR)]
     for coupling in (COUPLING_FIELD1, COUPLING_FIELD2):
         pieces += [commutator_superop(coupling),
                    commutator_superop(coupling.conj().T)]
-    return GeneratorTemplate(np.stack(pieces))
+    basis = np.stack(pieces)
+    basis.flags.writeable = False
+    return GeneratorTemplate(basis)
 
 
 def nullspace_dimension(generator: np.ndarray) -> int:
@@ -187,13 +198,15 @@ def steady_state_matrix(generator: np.ndarray) -> np.ndarray:
     refinement.  The residual of the *original* equations is always
     checked.
     """
-    scale = np.abs(generator).max()
+    magnitude = np.abs(generator)
+    scale = magnitude.max()
     if not math.isfinite(scale):
         raise SteadyStateError("generator has non-finite entries")
     if scale == 0.0:
         raise SteadyStateError("zero generator has no unique steady state")
     a = generator.copy()
-    a[0, :] = TRACE_ROW * scale
+    a[0] = 0.0
+    a[0, ::DIM + 1] = scale   # TRACE_ROW * scale
     b = np.zeros(DIM * DIM, dtype=complex)
     b[0] = scale
     try:
@@ -203,9 +216,10 @@ def steady_state_matrix(generator: np.ndarray) -> np.ndarray:
             generator, f"steady-state solve failed: {exc}"
         ) from exc
 
-    gen_norm = np.linalg.norm(generator)
-    residual = np.linalg.norm(generator @ vec)
-    if not np.isfinite(residual) or residual > STEADY_RESIDUAL_TOL * gen_norm:
+    gen_norm = math.sqrt(np.vdot(magnitude, magnitude))
+    r = generator @ vec
+    residual = math.sqrt(np.vdot(r, r).real)
+    if not math.isfinite(residual) or residual > STEADY_RESIDUAL_TOL * gen_norm:
         raise _unsolved(
             generator,
             f"steady-state residual {residual:.3e} exceeds "

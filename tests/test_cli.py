@@ -9,6 +9,7 @@ from lambdaloop.liouvillian import SteadyStateError
 from lambdaloop.cli import (
     PULSE_KEYS,
     ConfigError,
+    build_arg_parser,
     emit_config,
     main,
     parse_config,
@@ -328,3 +329,67 @@ def test_sidecar_records_n_steps_only_for_z_marches(tmp_path, mode):
         assert "n_steps" not in diagnostics
     else:
         assert diagnostics["n_steps"] == 32
+
+
+@pytest.mark.parametrize("mode", ["transmit", "sweep-phase", "sweep-b"])
+def test_zero_probe_reports_config_line(tmp_path, capsys, mode):
+    config = tmp_path / "zero-probe.cfg"
+    config.write_text("preset = fig3-cold\nod = 0\nomega_p_hz = 0\n"
+                      "sweep_start = -1\nsweep_stop = 1\npoints = 2\n")
+    assert main([mode, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: transmission requires a nonzero probe amplitude\n")
+
+
+def test_zero_probe_flag_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["transmit", "--preset", "fig3-cold",
+                 "--omega-p-hz", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: transmission requires a nonzero probe amplitude\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["steady", "spectrum", "pulse"])
+def test_zero_probe_allowed_without_transmission(mode):
+    config = parse_config(
+        f"mode = {mode}\npreset = fig3-cold\nomega_p_hz = 0\n"
+        "sweep_start = -1\nsweep_stop = 1\npoints = 2\nfwhm_s = 0.005\n"
+        "peak_omega_p_hz = 5e3\n")
+    assert config.drive.omega_p == 0.0
+
+
+def _sidecar(path):
+    return json.loads(path.with_suffix(".json").read_text())
+
+
+def test_reused_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
+    # One parser serves every call in a process: a flag given to one call
+    # must not reach the next, nor may an argparse exit spoil it.
+    monkeypatch.chdir(tmp_path)
+    quick = ["transmit", "--preset", "fig3-cold", "--od", "0"]
+    assert main(quick + ["--steps", "32", "--out", "short"]) == 0
+    assert main(quick) == 0
+    assert _sidecar(tmp_path / "short")["diagnostics"]["n_steps"] == 32
+    default = _sidecar(tmp_path / "run")
+    assert default["diagnostics"]["n_steps"] == 256
+    assert default["config"]["steps"] == 256
+
+    for argv, code in ((quick + ["--steps", "many"], 2), (["--help"], 0)):
+        (tmp_path / "run.json").unlink()
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == code
+        assert main(quick) == 0
+        assert _sidecar(tmp_path / "run") == default
+    capsys.readouterr()
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    build_arg_parser.cache_clear()
+    for n in range(3):
+        assert main(["steady", "--preset", "fig3-cold",
+                     "--out", f"steady-{n}"]) == 0
+    assert build_arg_parser.cache_info().misses == 1
+    assert build_arg_parser() is build_arg_parser()

@@ -173,6 +173,26 @@ class TestDensityMatrixValidation:
             with pytest.raises(ValueError, match="non-finite"):
                 validate_density_matrix(bad)
 
+    # inf - inf in the Hermiticity comparison makes numpy warn before
+    # the error is raised.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0, np.inf)])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal",
+                                       "hermitian-pair"])
+    def test_infinite_entry_rejected_as_non_finite(self, value, where):
+        # Finiteness is tested where the Hermiticity comparison fails; an
+        # inf entry must fail it wherever it sits, even when its mirror
+        # entry matches it.
+        bad = np.diag([0, 0, 0.5, 0.5]).astype(complex)
+        if where == "diagonal":
+            bad[2, 2] = value
+        else:
+            bad[0, 1] = value
+            if where == "hermitian-pair":
+                bad[1, 0] = np.conj(value)
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_density_matrix(bad)
+
     def test_eigenvalue_solver_failure_is_value_error(self, monkeypatch):
         def failing(a, compute_v, lower):
             return np.zeros(4), np.zeros((0, 0)), 3

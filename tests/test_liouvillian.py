@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,36 @@ class TestGenerator:
                 np.abs(expected))
         assert np.shares_memory(template.drive_b, template.basis)
 
+    def test_template_cached_per_atom(self, cold_atom, warm_atom):
+        # Equal AtomParams values share one template; other atoms do not.
+        twin = dataclasses.replace(cold_atom)
+        assert twin is not cold_atom
+        template = circular_template(cold_atom)
+        assert circular_template(twin) is template
+        other = circular_template(warm_atom)
+        assert other is not template
+        assert not np.array_equal(other.static, template.static)
+
+    def test_template_basis_read_only(self, cold_atom):
+        template = circular_template(cold_atom)
+        with pytest.raises(ValueError, match="read-only"):
+            template.basis[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            template.drive_a[:] = 0.0
+
+    def test_generator_returns_fresh_writable_array(self, cold_atom,
+                                                    cold_drive):
+        template = circular_template(cold_atom)
+        fields = input_fields(cold_drive)
+        first = template.generator(cold_drive.delta_b, *fields)
+        expected = first.copy()
+        assert first.flags.writeable
+        assert not np.shares_memory(first, template.basis)
+        first[:] = np.nan
+        second = template.generator(cold_drive.delta_b, *fields)
+        assert second is not first
+        assert np.array_equal(second, expected)
+
     def test_rejects_coherence_faster_than_population(self):
         # The decay model needs a non-negative extra dephasing rate, so
         # the atom itself refuses gamma_coh < gamma_pop.
@@ -241,6 +273,25 @@ class TestSteadyState:
             with pytest.raises(SteadyStateError,
                                match="generator has non-finite entries"):
                 steady_state_matrix(gen)
+
+    @pytest.mark.parametrize("gen, message", [
+        (np.zeros((16, 16), dtype=complex),
+         "zero generator has no unique steady state"),
+        (np.full((16, 16), np.inf + 0j), "generator has non-finite entries"),
+        # A zero column leaves the trace-replaced system singular while
+        # the kernel of the generator stays one-dimensional.
+        (np.diag([1.0] + [0.0] + [1.0] * 14).astype(complex),
+         "steady-state solve failed: Singular matrix"),
+        # An invertible generator: the solve meets the trace row and the
+        # other 15 equations, but not the replaced first one.
+        (np.eye(16, dtype=complex),
+         "steady-state residual 1.000e+00 exceeds 1e-08 * ||generator|| "
+         "= 4.000e-08"),
+    ], ids=["zero", "non-finite", "singular", "high-residual"])
+    def test_failure_messages(self, gen, message):
+        with pytest.raises(SteadyStateError) as err:
+            steady_state_matrix(gen)
+        assert str(err.value) == message
 
     def test_matches_long_time_evolution(self, soft_atom, rng):
         # Independent oracle: explicit RK4 integration to 50 ground

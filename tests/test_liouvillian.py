@@ -277,7 +277,6 @@ class TestSteadyState:
     @pytest.mark.parametrize("gen, message", [
         (np.zeros((16, 16), dtype=complex),
          "zero generator has no unique steady state"),
-        (np.full((16, 16), np.inf + 0j), "generator has non-finite entries"),
         # A zero column leaves the trace-replaced system singular while
         # the kernel of the generator stays one-dimensional.
         (np.diag([1.0] + [0.0] + [1.0] * 14).astype(complex),
@@ -287,7 +286,7 @@ class TestSteadyState:
         (np.eye(16, dtype=complex),
          "steady-state residual 1.000e+00 exceeds 1e-08 * ||generator|| "
          "= 4.000e-08"),
-    ], ids=["zero", "non-finite", "singular", "high-residual"])
+    ], ids=["zero", "singular", "high-residual"])
     def test_failure_messages(self, gen, message):
         with pytest.raises(SteadyStateError) as err:
             steady_state_matrix(gen)

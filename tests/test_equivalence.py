@@ -60,8 +60,14 @@ def _transmission(name):
     return transmission(preset_atom(name), preset_drive(name), 64)
 
 
-def _bare_transition(name):
-    return bare_transition_transmission(preset_atom(name), n_steps=64)
+def _transmission_stats(name):
+    # The sidecar path of CLI transmit: the residual record is threaded
+    # through every stage solve.
+    return transmission(preset_atom(name), preset_drive(name), 64, stats={})
+
+
+def _bare_transition(name, n_steps=64):
+    return bare_transition_transmission(preset_atom(name), n_steps=n_steps)
 
 
 def _sideband_transfer(name):
@@ -119,6 +125,10 @@ CASES = {
     "refractive_spectrum_cold_5": lambda: _refractive_spectrum("fig3-cold"),
     "sideband_transfer_warm_64": _sideband_transfer_warm_64,
     "refractive_spectrum_warm_field_13": _refractive_spectrum_warm_field,
+    **{f"transmission_{name}_64_stats": (lambda n=name: _transmission_stats(n))
+       for name in PRESETS},
+    **{f"bare_transition_{name}_512": (lambda n=name: _bare_transition(n, 512))
+       for name in PRESETS},
 }
 
 

@@ -286,7 +286,7 @@ def test_main_reports_config_file_errors(tmp_path, capsys, text, message):
 
 
 def test_main_solver_failure_exits_one(tmp_path, monkeypatch, capsys):
-    def fail(_generator):
+    def fail(_generator, **_kwargs):
         raise SteadyStateError("forced failure")
 
     monkeypatch.chdir(tmp_path)

@@ -17,6 +17,11 @@ from lambdaloop import (
     transmission,
 )
 from lambdaloop import propagation, spectroscopy
+from lambdaloop.liouvillian import (
+    circular_template,
+    refined_solve,
+    steady_state_matrix,
+)
 
 
 def free_space(atom: AtomParams) -> AtomParams:
@@ -163,6 +168,93 @@ class TestTransmission:
         )
 
 
+
+def kernel_residual(gen):
+    """The relative residual steady_state_matrix checks, recomputed: the
+    trace-replaced, refined solve of gen, taken before Hermitisation."""
+    scale = np.abs(gen).max()
+    a = gen.copy()
+    a[0] = 0.0
+    a[0, ::5] = scale
+    b = np.zeros(16, dtype=complex)
+    b[0] = scale
+    x = refined_solve(a, b)
+    return np.linalg.norm(gen @ x) / np.linalg.norm(gen)
+
+
+PRESET_FIXTURES = pytest.mark.parametrize(
+    "atom_name, drive_name",
+    [("cold_atom", "cold_drive"), ("warm_atom", "warm_drive")],
+    ids=["cold", "warm"],
+)
+
+
+class TestResidualRecord:
+    """max_steady_residual is the residual the stage solves check."""
+
+    N_STEPS = 32
+
+    @PRESET_FIXTURES
+    def test_stats_leave_transmission_bit_identical(self, request,
+                                                    atom_name, drive_name):
+        atom = request.getfixturevalue(atom_name)
+        drive = request.getfixturevalue(drive_name)
+        assert (transmission(atom, drive, self.N_STEPS, stats={})
+                == transmission(atom, drive, self.N_STEPS))
+
+    @PRESET_FIXTURES
+    def test_records_running_max_of_checked_residual(
+            self, request, monkeypatch, atom_name, drive_name):
+        atom = request.getfixturevalue(atom_name)
+        drive = request.getfixturevalue(drive_name)
+        real = propagation.steady_state_matrix
+        residuals = []
+
+        def recomputing(gen, **kwargs):
+            residuals.append(kernel_residual(gen))
+            return real(gen, **kwargs)
+
+        monkeypatch.setattr(propagation, "steady_state_matrix", recomputing)
+        stats = {}
+        transmission(atom, drive, self.N_STEPS, stats=stats)
+        recorded = stats["max_steady_residual"]
+        assert len(residuals) == 4 * self.N_STEPS
+        assert 0.0 < recorded <= 1e-8
+        assert recorded == pytest.approx(max(residuals), rel=1e-12,
+                                         abs=0.0)
+
+    def test_refinement_march_is_not_recorded(self, cold_atom, cold_drive):
+        plain, verified = {}, {}
+        transmission(cold_atom, cold_drive, self.N_STEPS, stats=plain)
+        transmission(cold_atom, cold_drive, self.N_STEPS,
+                     verify_refinement=True, stats=verified)
+        assert "refinement_delta" in verified
+        assert (verified["max_steady_residual"]
+                == plain["max_steady_residual"])
+
+    def test_free_space_records_zero(self, cold_atom, cold_drive):
+        stats = {"max_steady_residual": 1.0}
+        transmission(free_space(cold_atom), cold_drive, self.N_STEPS,
+                     stats=stats)
+        assert stats["max_steady_residual"] == 0.0
+
+    def test_kernel_record_leaves_state_unchanged(self, cold_atom,
+                                                  cold_drive):
+        gen = circular_template(cold_atom).generator(
+            cold_drive.delta_b, *input_fields(cold_drive)
+        )
+        record = {}
+        rho = steady_state_matrix(gen, record=record)
+        assert np.array_equal(rho, steady_state_matrix(gen))
+        assert record["max_steady_residual"] == pytest.approx(
+            kernel_residual(gen), rel=1e-12, abs=0.0
+        )
+        # A running max: a larger value already held is kept.
+        held = {"max_steady_residual": 1.0}
+        steady_state_matrix(gen, record=held)
+        assert held["max_steady_residual"] == 1.0
+
+
 def _propagate(atom, drive, n_steps):
     return propagate(input_fields(drive), atom, drive, n_steps)
 
@@ -259,9 +351,9 @@ def test_carrier_solve_counts(cold_atom, cold_drive, monkeypatch):
     real = propagation.steady_state_matrix
     calls = []
 
-    def counted(gen):
+    def counted(gen, **kwargs):
         calls.append(None)
-        return real(gen)
+        return real(gen, **kwargs)
 
     monkeypatch.setattr(propagation, "steady_state_matrix", counted)
     n_steps = 16

@@ -145,7 +145,6 @@ def propagate(fields_in, params: AtomParams, drive: DriveConfig,
     template = circular_template(params)
 
     def march(steps, record):
-        # Every stage solve folds its residual into record, if given.
         def rhs(f, z):
             _, rho = carrier_stage(template, drive.delta_b, f, z, record)
             return field_derivative(kappa, rho)

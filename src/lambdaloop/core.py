@@ -151,16 +151,17 @@ def to_circular(omega_c: complex, omega_p: complex) -> np.ndarray:
     """Linear (control, probe) amplitudes -> circular pair (Omega_1, Omega_2).
 
     Omega_1 = (Omega_c + Omega_p)/sqrt(2), Omega_2 = (Omega_c - Omega_p)/sqrt(2).
+    The ground Hadamard is its own inverse, so this is to_linear.
     """
-    return np.array([(omega_c + omega_p) / SQRT2,
-                     (omega_c - omega_p) / SQRT2], dtype=complex)
+    return to_linear((omega_c, omega_p))
 
 
 def to_linear(fields) -> np.ndarray:
     """Circular pair (Omega_1, Omega_2) -> linear (control, probe).
 
     Computed in the elements' own arithmetic: Python complexes and numpy
-    scalars round the division by sqrt(2) differently.
+    scalars round the division by sqrt(2) differently.  The elements may
+    be arrays, so the same map rotates operators and superoperators.
     """
     omega1, omega2 = fields
     return np.array([(omega1 + omega2) / SQRT2,

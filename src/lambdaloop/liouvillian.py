@@ -178,6 +178,18 @@ def refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def replace_trace_row(a: np.ndarray, scale: float) -> np.ndarray:
+    """Overwrite row 0 of a 16x16 system with TRACE_ROW * scale, in place.
+
+    The replaced equation pins the trace of the solution, which singles
+    out one solution of a system whose kernel is the generator's; scale
+    keeps the row on the order of the other rows.  Returns a.
+    """
+    a[0] = 0.0
+    a[0, ::DIM + 1] = scale
+    return a
+
+
 def _unsolved(generator: np.ndarray, message: str) -> SteadyStateError:
     """The error for a failed steady-state solve: a degenerate kernel
     (found with one SVD) if that is the cause, else message."""
@@ -207,9 +219,7 @@ def steady_state_matrix(generator: np.ndarray, *,
         raise SteadyStateError("generator has non-finite entries")
     if scale == 0.0:
         raise SteadyStateError("zero generator has no unique steady state")
-    a = generator.copy()
-    a[0] = 0.0
-    a[0, ::DIM + 1] = scale   # TRACE_ROW * scale
+    a = replace_trace_row(generator.copy(), scale)
     b = np.zeros(DIM * DIM, dtype=complex)
     b[0] = scale
     try:

@@ -121,7 +121,7 @@ def z_march(rhs, state, length, n_steps):
 
 def propagate(fields_in, params: AtomParams, drive: DriveConfig,
               n_steps: int = 256, *, verify_refinement: bool = False,
-              stats: dict | None = None) -> np.ndarray:
+              record: dict | None = None) -> np.ndarray:
     """Propagate a circular pair (Omega_1, Omega_2) through the cell.
 
     Returns the pair at every z of the grid, an (n_steps + 1, 2) complex
@@ -129,37 +129,38 @@ def propagate(fields_in, params: AtomParams, drive: DriveConfig,
     in `drive` is ignored here; both fields are degenerate in this path.
     With verify_refinement the run is repeated at 2*n_steps and a
     RefinementWarning is emitted if the probe output power moved by more
-    than 1e-6 relative.  stats, if given, receives max_steady_residual,
-    the largest checked residual of the n_steps march's stage solves,
-    and with verify_refinement the refinement_delta.
+    than 1e-6 relative.  A record, if given, is passed to the stage
+    solves of the n_steps march, which fold their checked residuals into
+    record["max_steady_residual"] as a running max (steady_state_matrix);
+    a free-space cell solves nothing and leaves it alone.  With
+    verify_refinement it also receives the refinement_delta.
     """
     if n_steps < 16:
         raise ValueError("n_steps must be at least 16")
     fields_in = np.asarray(fields_in, dtype=complex)
     kappa = calibrate_kappa(params)
-    if stats is not None:
-        stats["max_steady_residual"] = 0.0
     if kappa == 0.0:
         return np.tile(fields_in, (n_steps + 1, 1))
 
     template = circular_template(params)
 
-    def march(steps, record):
+    def march(steps, stage_record):
         def rhs(f, z):
-            _, rho = carrier_stage(template, drive.delta_b, f, z, record)
+            _, rho = carrier_stage(template, drive.delta_b, f, z,
+                                   stage_record)
             return field_derivative(kappa, rho)
 
         return z_march(rhs, fields_in, params.cell_length, steps)
 
-    profile = march(n_steps, stats)
+    profile = march(n_steps, record)
     if verify_refinement:
         fine = march(2 * n_steps, None)
         coarse_p = abs(to_linear(profile[-1])[1]) ** 2
         fine_p = abs(to_linear(fine[-1])[1]) ** 2
         ref = max(abs(fine_p), abs(fields_in[0]) ** 2 * 1e-30)
         delta = abs(coarse_p - fine_p) / ref
-        if stats is not None:
-            stats["refinement_delta"] = delta
+        if record is not None:
+            record["refinement_delta"] = delta
         if delta > REFINEMENT_TOL:
             warnings.warn(
                 f"probe power changed by {delta:.3e} relative when the "
@@ -172,7 +173,7 @@ def propagate(fields_in, params: AtomParams, drive: DriveConfig,
 
 def transmission(params: AtomParams, drive: DriveConfig, n_steps: int = 256,
                  *, verify_refinement: bool = False,
-                 stats: dict | None = None) -> float:
+                 record: dict | None = None) -> float:
     """Probe intensity transmission, output power over input power.
 
     Values above 1 are physical: the closed-loop medium can pump power
@@ -183,7 +184,7 @@ def transmission(params: AtomParams, drive: DriveConfig, n_steps: int = 256,
     fields_in = input_fields(drive)
     profile = propagate(
         fields_in, params, drive, n_steps,
-        verify_refinement=verify_refinement, stats=stats,
+        verify_refinement=verify_refinement, record=record,
     )
     p_in, _ = probe_power(fields_in)
     p_out, _ = probe_power(profile[-1])

@@ -10,17 +10,20 @@ rho_+ exp(-i*delta*t) obeying
 
 with L0 the degenerate generator and V_p the probe coupling operator.
 The probe is the linear mode Omega_p = (Omega_1 - Omega_2)/sqrt(2) of
-the circular pair, so with the circular couplings V_1 = |2><3| + |1><3|
-and V_2 = |2><4| - |1><4|
+the circular pair, and every probe-mode quantity here is read through
+core.to_linear (its inverse, to_circular, seeds the probe).  With the
+circular couplings V_1 = |2><3| + |1><3| and V_2 = |2><4| - |1><4|
 
-    V_p = (V_1 - V_2)/sqrt(2) = (|1><3| + |1><4| + |2><3| - |2><4|)/sqrt(2),
+    V_p = to_linear((V_1, V_2))[1]
+        = (|1><3| + |1><4| + |2><3| - |2><4|)/sqrt(2),
 
 which is |1><X| + |2><Y| in the linear ground basis; its superoperator
-pair is (drive_a - drive_b)/sqrt(2) and (drive_a_conj -
-drive_b_conj)/sqrt(2) of the circular template.  The reported
+pair is the probe mode of the template's drive pieces, to_linear of
+(drive_a, drive_b) and of (drive_a_conj, drive_b_conj).  The reported
 susceptibility sample reads the same combination of coherences,
 
-    chi(delta) = -(rho_+[1,3] + rho_+[1,4] + rho_+[2,3] - rho_+[2,4])
+    chi(delta) = -Tr(V_p^dagger rho_+) / eta
+               = -(rho_+[1,3] + rho_+[1,4] + rho_+[2,3] - rho_+[2,4])
                  / (sqrt(2) * eta),
 
 that is -(rho_+[1,X] + rho_+[2,Y]) / eta, with the overall sign fixed
@@ -63,17 +66,20 @@ from .core import (
     AtomParams,
     Curve,
     DriveConfig,
-    SQRT2,
     TWO_PI,
     _require_finite,
     hz_to_angular,
     input_fields,
+    to_circular,
+    to_linear,
 )
 from .liouvillian import (
-    TRACE_ROW,
+    COUPLING_FIELD1,
+    COUPLING_FIELD2,
     SteadyStateError,
     circular_template,
     refined_solve,
+    replace_trace_row,
     steady_state_matrix,
 )
 from .propagation import (
@@ -94,10 +100,10 @@ PULSE_SPECTRUM_CUTOFF = 1e-8
 _I16 = np.eye(16, dtype=complex)
 
 #: Row functional reading the probe coherence rho_1X + rho_2Y off a
-#: vectorised circular-basis state: (rho_13 + rho_14 + rho_23 - rho_24)
-#: / sqrt(2).
-_PROBE_ROW = np.zeros(16, dtype=complex)
-_PROBE_ROW[[2, 3, 6, 7]] = np.array([1.0, 1.0, 1.0, -1.0]) / SQRT2
+#: vectorised circular-basis state: Tr(V_p^dagger rho) with V_p the probe
+#: mode of the circular couplings.  V_p is real, so the row is its
+#: row-major flattening.
+_PROBE_ROW = to_linear((COUPLING_FIELD1, COUPLING_FIELD2))[1].reshape(-1)
 
 #: Picks the sideband seed coefficients of each drive piece (rows) from
 #: (state, conj(state)) of the transfer march: (e1, conj m1c, e2,
@@ -159,8 +165,7 @@ def _solve_sideband(gen, delta_angular, seed):
     """
     a = -1j * delta_angular * _I16 - gen
     if delta_angular == 0.0:
-        a = a.copy()
-        a[0, :] = TRACE_ROW * np.max(np.abs(gen))
+        replace_trace_row(a, np.max(np.abs(gen)))
         seed = seed.copy()
         seed[0] = 0.0
     try:
@@ -194,33 +199,17 @@ def _operating_point(params: AtomParams, drive: DriveConfig):
 
     Returns the degenerate circular-basis generator gen0 at the input
     fields, its vectorised steady state and the probe-sideband
-    superoperators (probe, probe_conj) = (drive_a - drive_b)/sqrt(2) and
-    (drive_a_conj - drive_b_conj)/sqrt(2): the derivatives of the
-    generator in Omega_p and conj(Omega_p), which enter the circular
-    pair as +Omega_p/sqrt(2) and -Omega_p/sqrt(2).
+    superoperators (probe, probe_conj): the derivatives of the generator
+    in Omega_p and conj(Omega_p), read through core.to_linear as the
+    probe mode of the drive-piece pairs (drive_a, drive_b) and
+    (drive_a_conj, drive_b_conj).
     """
     template = circular_template(params)
     gen0 = template.generator(drive.delta_b, *input_fields(drive))
-    probe, probe_conj = (template.basis[2:4] - template.basis[4:6]) / SQRT2
+    probe, probe_conj = to_linear(
+        (template.basis[2:4], template.basis[4:6])
+    )[1]
     return gen0, steady_state_matrix(gen0).reshape(-1), probe, probe_conj
-
-
-def _chi(rho_plus: np.ndarray) -> complex:
-    """chi from a first-order sideband vector per unit sideband Rabi."""
-    return CHI_SIGN * (_PROBE_ROW @ rho_plus)
-
-
-def _truncation_estimate(gen0, probe, probe_conj, delta, first,
-                         eta) -> float:
-    """Relative first-harmonic correction that the dropped n = 2
-    harmonic would feed back, with eta the sideband amplitude and first
-    the first-sideband solution at delta."""
-    second = _solve_sideband(gen0, 2.0 * delta, probe @ first)
-    back = _solve_sideband(gen0, delta, probe_conj @ second)
-    norm_first = np.linalg.norm(first)
-    if norm_first == 0.0:
-        return 0.0
-    return float(eta**2 * np.linalg.norm(back) / norm_first)
 
 
 def _warn_if_truncated(estimate: float, delta: float,
@@ -236,28 +225,45 @@ def _warn_if_truncated(estimate: float, delta: float,
         )
 
 
+def _chi_samples(params: AtomParams, drive: DriveConfig, deltas) -> list:
+    """chi at each angular detuning of deltas, around one operating point.
+
+    Serves weak_probe_response and refractive_spectrum, whose callers
+    the warnings point at.  The truncation estimate at each sample takes
+    the probe carrier magnitude eta as the worst-case sideband amplitude
+    and is the relative first-harmonic correction that the dropped n = 2
+    harmonic would feed back; one warning names the worst estimate and
+    its detuning.
+    """
+    _warn_if_strong_probe(drive, stacklevel=3)
+    gen0, rho0, probe, probe_conj = _operating_point(params, drive)
+    seed = probe @ rho0
+    eta = drive.omega_p
+    chis = []
+    worst = (0.0, 0.0)
+    for delta in deltas:
+        first = _solve_sideband(gen0, delta, seed)
+        chis.append(CHI_SIGN * (_PROBE_ROW @ first))
+        if eta != 0.0:
+            second = _solve_sideband(gen0, 2.0 * delta, probe @ first)
+            back = _solve_sideband(gen0, delta, probe_conj @ second)
+            norm_first = np.linalg.norm(first)
+            if norm_first != 0.0:
+                estimate = float(eta**2 * np.linalg.norm(back) / norm_first)
+                worst = max(worst, (estimate, delta))
+    _warn_if_truncated(*worst, stacklevel=3)
+    return chis
+
+
 def weak_probe_response(params: AtomParams, drive: DriveConfig) -> complex:
     """Complex susceptibility sample chi at drive.delta_probe.
 
     The real part tracks the probe refractive index (arbitrary units),
     the imaginary part the absorption.  Warns when the dropped higher
-    sideband harmonics would matter at the percent level: taking the
-    probe carrier magnitude as the worst-case sideband amplitude, the
-    estimate is the relative first-harmonic correction that the dropped
-    n = 2 harmonic would feed back.
+    sideband harmonics would matter at the percent level.  The one-point
+    case of refractive_spectrum.
     """
-    _warn_if_strong_probe(drive, stacklevel=2)
-    gen0, rho0, probe, probe_conj = _operating_point(params, drive)
-    delta = drive.delta_probe
-    first = _solve_sideband(gen0, delta, probe @ rho0)
-    eta = drive.omega_p
-    if eta != 0.0:
-        _warn_if_truncated(
-            _truncation_estimate(gen0, probe, probe_conj, delta, first,
-                                 eta),
-            delta, stacklevel=2,
-        )
-    return _chi(first)
+    return _chi_samples(params, drive, [drive.delta_probe])[0]
 
 
 def refractive_spectrum(params: AtomParams, drive: DriveConfig,
@@ -268,21 +274,8 @@ def refractive_spectrum(params: AtomParams, drive: DriveConfig,
     and warns once, with the worst estimate and its detuning.
     """
     deltas_hz = _checked_grid(deltas_hz)
-    _warn_if_strong_probe(drive, stacklevel=2)
-    gen0, rho0, probe, probe_conj = _operating_point(params, drive)
-    seed = probe @ rho0
-    eta = drive.omega_p
-    ys = []
-    worst = (0.0, 0.0)
-    for d_hz in deltas_hz:
-        delta = hz_to_angular(d_hz)
-        first = _solve_sideband(gen0, delta, seed)
-        ys.append(_chi(first))
-        if eta != 0.0:
-            worst = max(worst, (_truncation_estimate(
-                gen0, probe, probe_conj, delta, first, eta), delta))
-    _warn_if_truncated(*worst, stacklevel=2)
-    return Curve("delta_hz", deltas_hz, ys)
+    chis = _chi_samples(params, drive, [hz_to_angular(d) for d in deltas_hz])
+    return Curve("delta_hz", deltas_hz, chis)
 
 
 @dataclass(frozen=True)
@@ -413,9 +406,9 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
     template = circular_template(params)
     # drive_a, drive_a_conj, drive_b, drive_b_conj as one (64, 16) map.
     drive_pieces = template.basis[2:].reshape(64, 16)
-    sb = 1.0 / math.sqrt(2.0)
-    state_in = np.array([*input_fields(drive), sb, -sb, sb, -sb],
-                        dtype=complex)
+    # Carrier pair, then unit probe modulation in each sideband pair.
+    unit_probe = to_circular(0.0, 1.0)
+    state_in = np.concatenate([input_fields(drive), unit_probe, unit_probe])
     ik = 1j * kappa
 
     out = np.empty(deltas.shape, dtype=complex)
@@ -441,7 +434,7 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
             ])
 
         state = z_march(rhs, state_in, params.cell_length, n_steps)[-1]
-        out[i] = (state[2] - state[3]) / math.sqrt(2.0)
+        out[i] = to_linear(state[2:4])[1]
     return out
 
 

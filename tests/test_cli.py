@@ -184,6 +184,9 @@ def test_transmit_free_space_unity(tmp_path):
     lines = (tmp_path / "free.csv").read_text().splitlines()
     assert lines[0] == "transmission_ratio"
     assert float(lines[1]) == 1.0
+    # No stage solve runs in free space; the sidecar still records 0.
+    sidecar = json.loads((tmp_path / "free.json").read_text())
+    assert sidecar["diagnostics"]["max_steady_residual"] == 0.0
 
 
 def test_deterministic_artifacts(tmp_path):

@@ -60,10 +60,10 @@ def _transmission(name):
     return transmission(preset_atom(name), preset_drive(name), 64)
 
 
-def _transmission_stats(name):
+def _transmission_record(name):
     # The sidecar path of CLI transmit: the residual record is threaded
     # through every stage solve.
-    return transmission(preset_atom(name), preset_drive(name), 64, stats={})
+    return transmission(preset_atom(name), preset_drive(name), 64, record={})
 
 
 def _bare_transition(name, n_steps=64):
@@ -125,7 +125,7 @@ CASES = {
     "refractive_spectrum_cold_5": lambda: _refractive_spectrum("fig3-cold"),
     "sideband_transfer_warm_64": _sideband_transfer_warm_64,
     "refractive_spectrum_warm_field_13": _refractive_spectrum_warm_field,
-    **{f"transmission_{name}_64_stats": (lambda n=name: _transmission_stats(n))
+    **{f"transmission_{name}_64_stats": (lambda n=name: _transmission_record(n))
        for name in PRESETS},
     **{f"bare_transition_{name}_512": (lambda n=name: _bare_transition(n, 512))
        for name in PRESETS},

@@ -88,13 +88,13 @@ class TestPropagate:
         assert probe_out < 1e-12 * drive.omega_c
 
     def test_grid_refinement(self, warm_atom, warm_drive):
-        stats = {}
+        record = {}
         import warnings as _w
         with _w.catch_warnings():
             _w.simplefilter("error")
             transmission(warm_atom, warm_drive, 256,
-                         verify_refinement=True, stats=stats)
-        assert stats["refinement_delta"] < 1e-6
+                         verify_refinement=True, record=record)
+        assert record["refinement_delta"] < 1e-6
 
     def test_rejects_coarse_grid(self, cold_atom, cold_drive):
         with pytest.raises(ValueError, match="n_steps"):
@@ -195,11 +195,11 @@ class TestResidualRecord:
     N_STEPS = 32
 
     @PRESET_FIXTURES
-    def test_stats_leave_transmission_bit_identical(self, request,
-                                                    atom_name, drive_name):
+    def test_record_leaves_transmission_bit_identical(self, request,
+                                                      atom_name, drive_name):
         atom = request.getfixturevalue(atom_name)
         drive = request.getfixturevalue(drive_name)
-        assert (transmission(atom, drive, self.N_STEPS, stats={})
+        assert (transmission(atom, drive, self.N_STEPS, record={})
                 == transmission(atom, drive, self.N_STEPS))
 
     @PRESET_FIXTURES
@@ -215,9 +215,9 @@ class TestResidualRecord:
             return real(gen, **kwargs)
 
         monkeypatch.setattr(propagation, "steady_state_matrix", recomputing)
-        stats = {}
-        transmission(atom, drive, self.N_STEPS, stats=stats)
-        recorded = stats["max_steady_residual"]
+        record = {}
+        transmission(atom, drive, self.N_STEPS, record=record)
+        recorded = record["max_steady_residual"]
         assert len(residuals) == 4 * self.N_STEPS
         assert 0.0 < recorded <= 1e-8
         assert recorded == pytest.approx(max(residuals), rel=1e-12,
@@ -225,18 +225,25 @@ class TestResidualRecord:
 
     def test_refinement_march_is_not_recorded(self, cold_atom, cold_drive):
         plain, verified = {}, {}
-        transmission(cold_atom, cold_drive, self.N_STEPS, stats=plain)
+        transmission(cold_atom, cold_drive, self.N_STEPS, record=plain)
         transmission(cold_atom, cold_drive, self.N_STEPS,
-                     verify_refinement=True, stats=verified)
+                     verify_refinement=True, record=verified)
         assert "refinement_delta" in verified
         assert (verified["max_steady_residual"]
                 == plain["max_steady_residual"])
 
-    def test_free_space_records_zero(self, cold_atom, cold_drive):
-        stats = {"max_steady_residual": 1.0}
+    def test_free_space_leaves_held_value(self, cold_atom, cold_drive):
+        # A free-space march solves nothing, so nothing is folded in.
+        held = {"max_steady_residual": 0.5}
         transmission(free_space(cold_atom), cold_drive, self.N_STEPS,
-                     stats=stats)
-        assert stats["max_steady_residual"] == 0.0
+                     record=held)
+        assert held == {"max_steady_residual": 0.5}
+
+    def test_march_keeps_larger_held_value(self, cold_atom, cold_drive):
+        # The record is a running max, not reset at the start of a march.
+        held = {"max_steady_residual": 1.0}
+        transmission(cold_atom, cold_drive, self.N_STEPS, record=held)
+        assert held == {"max_steady_residual": 1.0}
 
     def test_kernel_record_leaves_state_unchanged(self, cold_atom,
                                                   cold_drive):

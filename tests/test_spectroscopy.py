@@ -64,7 +64,7 @@ class TestTwoLevelLimit:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", WeakProbeWarning)
                 got = weak_probe_response(cold_atom, drive)
-            assert got == pytest.approx(analytic(d_hz), rel=1e-6)
+            assert got == pytest.approx(analytic(d_hz), rel=1e-6, abs=0.0)
 
     def test_absorptive_sign_and_anomalous_dispersion(self, cold_atom):
         # Bare line: absorption positive, dispersion falling at center.
@@ -172,6 +172,20 @@ class TestResponseProperties:
         mid = ys[2]
         neighbors = 0.5 * (ys[1] + ys[3])
         assert abs(mid - neighbors) < 0.05 * abs(mid)
+
+    @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
+    def test_sample_is_one_point_spectrum(self, name):
+        # One detuning loop serves both: a sample is bit for bit the
+        # spectrum's value at the same detuning, the resonant one too.
+        atom, drive = preset_atom(name), preset_drive(name)
+        for d_hz in (-7.5, 0.0, 12.0):
+            probe = replace(drive, delta_probe=hz_to_angular(d_hz))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WeakProbeWarning)
+                sample = weak_probe_response(atom, probe)
+                spectrum = refractive_spectrum(atom, drive, [d_hz])
+            assert (np.complex128(sample).tobytes()
+                    == spectrum.ys[0].tobytes())
 
     def test_warns_on_strong_probe(self, warm_atom):
         for call in (

@@ -178,7 +178,10 @@ def validate_density_matrix(rho: np.ndarray) -> None:
 
     Checks that every entry is finite, then Hermiticity (1e-12
     element-wise), unit trace (1e-10) and the numerical positivity floor
-    (eigenvalues >= -1e-9).
+    (eigenvalues >= -1e-9).  The eigenvalues are those of the Hermitian
+    part 0.5 * (rho + rho^H).  When the Hermiticity residual is exactly
+    0.0, every entry equals the conjugate of its mirror, so that part
+    equals rho entry for entry and rho goes to the solver as it is.
     """
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {rho.shape}")
@@ -189,11 +192,14 @@ def validate_density_matrix(rho: np.ndarray) -> None:
         if not np.isfinite(rho).all():
             raise ValueError("matrix has non-finite entries")
         raise ValueError(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
-    tr = rho.trace()
+    # The diagonal summed in ndarray.trace's pairwise order, without its
+    # per-call overhead.
+    tr = (rho[0, 0] + rho[1, 1]) + (rho[2, 2] + rho[3, 3])
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
+    hermitian = rho if herm == 0.0 else 0.5 * (rho + adjoint)
     # heevd returns the eigenvalues in ascending order.
-    eigs, _, info = _heevd(0.5 * (rho + adjoint), compute_v=0, lower=1)
+    eigs, _, info = _heevd(hermitian, compute_v=0, lower=1)
     if info != 0:
         raise ValueError(f"eigenvalue solver failed (LAPACK info {info})")
     if eigs[0] < EIGENVALUE_FLOOR:

@@ -66,9 +66,9 @@ COUPLING_FIELD2 = _op(1, 3) - _op(0, 3)          # |2><4| - |1><4|
 ZEEMAN_CIRCULAR = 0.5 * (_op(2, 2) - _op(3, 3))
 UPPER_PROJECTOR = _op(0, 0)
 
-# Complex LU factorisation and back-substitution, bound once.
-_getrf, _getrs = get_lapack_funcs(
-    ("getrf", "getrs"), (np.empty((1, 1), dtype=complex),)
+# Complex LU factor-and-solve and back-substitution, bound once.
+_gesv, _getrs = get_lapack_funcs(
+    ("gesv", "getrs"), (np.empty((1, 1), dtype=complex),)
 )
 
 #: Row functional extracting the trace from a row-major vectorized state.
@@ -165,15 +165,15 @@ def nullspace_dimension(generator: np.ndarray) -> int:
 def refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b by LU plus one step of iterative refinement.
 
-    b is one right-hand side or a block of them as columns.  a is
-    factored once; both back-substitutions use that factorisation
-    and the refinement residual is taken against the exact a.  Raises
-    np.linalg.LinAlgError when a is exactly singular.
+    b is one right-hand side or a block of them as columns.  One gesv
+    call factors a and solves for x; one getrs call on that LU then
+    solves for the correction, with the refinement residual taken
+    against the exact a.  Raises np.linalg.LinAlgError when a is exactly
+    singular.
     """
-    lu, piv, info = _getrf(a)
+    lu, piv, x, info = _gesv(a, b)
     if info > 0:
         raise np.linalg.LinAlgError("Singular matrix")
-    x = _getrs(lu, piv, b)[0]
     x += _getrs(lu, piv, b - a @ x)[0]
     return x
 
@@ -244,9 +244,13 @@ def steady_state_matrix(generator: np.ndarray, *,
             record.get("max_steady_residual", 0.0), residual / gen_norm
         )
 
+    # Twice the Hermitian part, divided by its trace: the factor 2 is a
+    # power of two and cancels without rounding.  The trace is the
+    # diagonal summed in ndarray.trace's pairwise order, without its
+    # per-call overhead.
     rho = vec.reshape(DIM, DIM)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= rho.trace().real
+    rho = rho + rho.conj().T
+    rho /= ((rho[0, 0] + rho[1, 1]) + (rho[2, 2] + rho[3, 3])).real
     try:
         validate_density_matrix(rho)
     except ValueError as exc:

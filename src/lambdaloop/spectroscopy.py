@@ -445,7 +445,9 @@ class PulseSpec:
     peak_omega_p is kept with the pulse but pulse_response does not read
     it: the response is a linear filter of the normalized envelope, and
     the probe carrier amplitude it linearizes around is the drive's
-    omega_p.
+    omega_p.  The sample grid must resolve the pulse bandwidth:
+    n_samples / (2 * time_window) >= 2.3 / fwhm + |carrier_detuning| / 2pi,
+    both sides in Hz.
     """
 
     fwhm: float                       # seconds
@@ -468,6 +470,15 @@ class PulseSpec:
         n = self.n_samples
         if n < 256 or (n & (n - 1)) != 0:
             raise ValueError("n_samples must be a power of two, >= 256")
+        nyquist_hz = 0.5 * n / window
+        needed_hz = 2.3 / self.fwhm + abs(self.carrier_detuning) / TWO_PI
+        if needed_hz > nyquist_hz:
+            raise ValueError(
+                f"n_samples over time_window only resolves "
+                f"+/-{nyquist_hz:.3g} Hz but the pulse bandwidth, "
+                f"|carrier_detuning| / 2pi + 2.3 / fwhm, needs "
+                f"+/-{needed_hz:.3g} Hz"
+            )
 
     @property
     def times(self) -> np.ndarray:
@@ -525,13 +536,6 @@ def pulse_response(params: AtomParams, drive: DriveConfig, pulse: PulseSpec,
     _warn_if_strong_probe(drive, stacklevel=2)
     times = pulse.times
     envelope = pulse.envelope
-    nyquist_hz = 0.5 * pulse.n_samples / pulse.time_window
-    needed_hz = 2.3 / pulse.fwhm + abs(pulse.carrier_detuning) / TWO_PI
-    if needed_hz > nyquist_hz:
-        raise ValueError(
-            f"pulse bandwidth needs +/-{needed_hz:.3g} Hz but the sample "
-            f"grid only resolves +/-{nyquist_hz:.3g} Hz"
-        )
     carrier_hz = pulse.carrier_detuning / TWO_PI
 
     def transfer_at(deltas_hz):

@@ -110,8 +110,10 @@ def test_repeated_key_names_both_lines():
     ("fwhm_s = nan\n", "fwhm must be finite, got nan"),
     ("carrier_detuning_hz = inf\nfwhm_s = 0.005\n",
      "carrier_detuning must be finite, got inf"),
+    ("n_samples = 256\nfwhm_s = 0.005\ntime_window_s = 5.0\n",
+     r"n_samples over time_window only resolves \+/-25.6 Hz"),
 ], ids=["n_samples", "fwhm_s", "time_window_s", "fwhm_s-nan",
-        "carrier_detuning_hz-inf"])
+        "carrier_detuning_hz-inf", "n_samples-bandwidth"])
 def test_pulse_value_reports_line(pulse_lines, message):
     # The rejected key sits on line 3.
     text = ("mode = pulse\npreset = fig4-warm\n" + pulse_lines
@@ -286,6 +288,24 @@ def test_main_reports_config_file_errors(tmp_path, capsys, text, message):
     config.write_text(text)
     assert main(["transmit", "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("grid, line, nyquist", [
+    ("time_window_s = 5.0\nn_samples = 256\n", 5, "25.6"),
+    ("time_window_s = 5.0\n", 4, "102"),
+], ids=["n_samples", "time_window_s"])
+def test_main_reports_pulse_bandwidth_line(tmp_path, capsys, grid, line,
+                                           nyquist):
+    # A 5 ms pulse needs +/-460 Hz; the error names the line of the first
+    # grid key the message names that the file sets.
+    config = tmp_path / "coarse-grid.cfg"
+    config.write_text("preset = fig4-warm\nfwhm_s = 0.005\n"
+                      "peak_omega_p_hz = 60e3\n" + grid)
+    assert main(["pulse", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {line}: invalid pulse parameters: n_samples over "
+        f"time_window only resolves +/-{nyquist} Hz but the pulse "
+        "bandwidth, |carrier_detuning| / 2pi + 2.3 / fwhm, needs +/-460 Hz\n")
 
 
 def test_main_solver_failure_exits_one(tmp_path, monkeypatch, capsys):

@@ -193,6 +193,32 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="non-finite"):
             validate_density_matrix(bad)
 
+    def test_exactly_hermitian_state_skips_symmetrising(self, monkeypatch):
+        # The solver sees the Hermitian part 0.5 * (rho + rho^H); an
+        # exactly Hermitian rho is its own Hermitian part and goes as it
+        # is, while an asymmetry within the tolerance is still averaged.
+        seen = []
+        heevd = core._heevd
+
+        def capturing(a, compute_v, lower):
+            seen.append(a)
+            return heevd(a, compute_v=compute_v, lower=lower)
+
+        monkeypatch.setattr(core, "_heevd", capturing)
+        rho = np.diag([0.1, 0.1, 0.4, 0.4]).astype(complex)
+        rho[2, 3] = 0.1 + 0.05j
+        rho[0, 2] = 0.02 - 0.01j
+        rho += np.triu(rho, 1).conj().T
+        validate_density_matrix(rho)
+        assert seen[-1] is rho
+
+        skewed = rho.copy()
+        skewed[0, 2] += 5e-13
+        validate_density_matrix(skewed)
+        hermitian_part = 0.5 * (skewed + skewed.conj().T)
+        assert seen[-1].tobytes() == hermitian_part.tobytes()
+        assert not np.array_equal(hermitian_part, skewed)
+
     def test_eigenvalue_solver_failure_is_value_error(self, monkeypatch):
         def failing(a, compute_v, lower):
             return np.zeros(4), np.zeros((0, 0)), 3

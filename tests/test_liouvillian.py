@@ -213,18 +213,26 @@ class TestGenerator:
 
 class TestRefinedSolve:
     def test_factors_once_per_call(self, monkeypatch, rng):
+        # gesv factors and solves; getrs runs once, for the refinement.
         calls = []
-        getrf = liouvillian._getrf
+        refinements = []
+        gesv, getrs = liouvillian._gesv, liouvillian._getrs
 
-        def counting(a):
+        def counting(a, b):
             calls.append(a.shape)
-            return getrf(a)
+            return gesv(a, b)
 
-        monkeypatch.setattr(liouvillian, "_getrf", counting)
+        def counting_getrs(lu, piv, b):
+            refinements.append(b.shape)
+            return getrs(lu, piv, b)
+
+        monkeypatch.setattr(liouvillian, "_gesv", counting)
+        monkeypatch.setattr(liouvillian, "_getrs", counting_getrs)
         a = rng.normal(size=(16, 16)) + 16.0 * np.eye(16) + 0j
         for n in range(1, 4):
             refined_solve(a, np.ones(16, dtype=complex))
             assert calls == [(16, 16)] * n
+            assert refinements == [(16,)] * n
 
     def test_singular_raises(self):
         zero_column = np.eye(16, dtype=complex)

@@ -396,11 +396,19 @@ class TestPulse:
             warnings.simplefilter("error", WeakProbeWarning)
             pulse_response(atom, warm_drive, pulse)
 
-    def test_bandwidth_guard(self, cold_atom, cold_drive):
-        pulse = PulseSpec(fwhm=1e-3, peak_omega_p=1.0, time_window=0.1,
-                          n_samples=256)
+    def test_bandwidth_guard(self):
+        # The spec itself refuses a grid too coarse for the pulse: 256
+        # samples over 0.1 s resolve +/-1280 Hz, a 1 ms pulse needs 2300.
         with pytest.raises(ValueError, match="bandwidth"):
-            pulse_response(cold_atom, cold_drive, pulse)
+            PulseSpec(fwhm=1e-3, peak_omega_p=1.0, time_window=0.1,
+                      n_samples=256)
+        # 256 samples over 8 ms resolve +/-16 kHz; the carrier detuning
+        # adds to the 2.3 kHz the pulse itself needs.
+        PulseSpec(fwhm=1e-3, peak_omega_p=1.0, n_samples=256,
+                  carrier_detuning=hz_to_angular(13e3))
+        with pytest.raises(ValueError, match="bandwidth"):
+            PulseSpec(fwhm=1e-3, peak_omega_p=1.0, n_samples=256,
+                      carrier_detuning=hz_to_angular(14e3))
 
     def test_transfer_grid_converged(self, warm_atom, warm_drive):
         coarse = sideband_transfer(warm_atom, warm_drive, [12.0], 96)[0]
@@ -496,13 +504,13 @@ class TestSidebandConjugationSymmetry:
                                           monkeypatch):
         # One for the carrier, one for both sidebands: 2 per stage, 4
         # stages per step, 16 steps.
-        getrf = liouvillian._getrf
+        gesv = liouvillian._gesv
         calls = []
 
-        def counting(a):
+        def counting(a, b):
             calls.append(None)
-            return getrf(a)
+            return gesv(a, b)
 
-        monkeypatch.setattr(liouvillian, "_getrf", counting)
+        monkeypatch.setattr(liouvillian, "_gesv", counting)
         sideband_transfer(cold_atom, cold_drive, [5.0], 16)
         assert len(calls) == 2 * 4 * 16

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -52,7 +53,6 @@ ALL_KEYS = FLOAT_KEYS | INT_KEYS | STRING_KEYS
 
 # Keys that may be omitted because a default exists.
 DEFAULTS = {
-    "delta_probe_hz": 0.0,
     "carrier_detuning_hz": 0.0,
     "steps": 256,
     "out": "run",
@@ -117,23 +117,21 @@ def _convert(key: str, value: str, line: int | None):
 
 def _resolve(entries: dict) -> RunConfig:
     """Typed, preset-expanded, validated RunConfig from raw entries."""
-    values: dict = {}
-    lines: dict = {}
-    for key, (text_value, line) in entries.items():
-        values[key] = _convert(key, text_value, line)
-        lines[key] = line
+    values = {key: _convert(key, text, line)
+              for key, (text, line) in entries.items()}
+    lines = {key: line for key, (_, line) in entries.items()}
+
+    def err(key, message):
+        line = lines.get(key)
+        where = f"line {line}: " if line is not None else ""
+        raise ConfigError(f"{where}{message}")
 
     preset = values.get("preset")
     if preset is not None:
         if preset not in PRESETS:
-            raise ConfigError(
-                f"line {lines.get('preset', 0)}: unknown preset {preset!r}; "
-                f"available: {', '.join(preset_names())}"
-            )
-        merged = dict(PRESETS[preset])
-        merged.update({k: v for k, v in values.items() if k != "preset"})
-        values = merged
-        values["preset"] = preset
+            err("preset", f"unknown preset {preset!r}; available: "
+                          f"{', '.join(preset_names())}")
+        values = {**PRESETS[preset], **values}
 
     mode = values.get("mode")
     required = {"mode"} | set(ATOM_KEYS.values()) | set(DRIVE_KEYS.values())
@@ -146,18 +144,10 @@ def _resolve(entries: dict) -> RunConfig:
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     if mode not in MODES:
-        raise ConfigError(
-            f"line {lines.get('mode', 0)}: mode must be one of "
-            f"{', '.join(MODES)}, got {mode!r}"
-        )
+        err("mode", f"mode must be one of {', '.join(MODES)}, got {mode!r}")
 
     for key, default in DEFAULTS.items():
         values.setdefault(key, default)
-
-    def err(key, message):
-        line = lines.get(key)
-        where = f"line {line}: " if line is not None else ""
-        raise ConfigError(f"{where}{message}")
 
     def build(cls, keys, what):
         """cls from the values; a rejection is reported at the line of the
@@ -178,6 +168,9 @@ def _resolve(entries: dict) -> RunConfig:
     if mode in Z_MARCH_MODES and values["steps"] < 16:
         err("steps", f"steps must be >= 16, got {values['steps']}")
     if mode in SWEEP_MODES:
+        for key in ("sweep_start", "sweep_stop"):
+            if not math.isfinite(values[key]):
+                err(key, f"{key} must be finite, got {values[key]!r}")
         if values["points"] < 2:
             err("points", f"sweep modes need points >= 2, got {values['points']}")
         if not values["sweep_stop"] > values["sweep_start"]:
@@ -313,7 +306,11 @@ def run(config: RunConfig) -> int:
 
 @functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared."""
+    """The command-line parser, built once per process and shared.
+
+    One flag per config key, holding the value as text: a flag is
+    converted and checked exactly like the config line it overrides.
+    """
     parser = argparse.ArgumentParser(
         prog="lambdaloop",
         description="Four-level closed-loop atomic medium simulator",
@@ -322,38 +319,27 @@ def build_arg_parser() -> argparse.ArgumentParser:
     for mode in MODES:
         p = sub.add_parser(mode, help=f"{mode} run")
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--preset", choices=preset_names())
-        p.add_argument("--out", help="output basename (default: run)")
-        p.add_argument("--steps", type=int, help="z-grid steps (default 256)")
-        p.add_argument("--points", type=int, help="sweep grid points")
-        for key in sorted(FLOAT_KEYS):
-            p.add_argument(f"--{key.replace('_', '-')}", type=float,
-                           dest=key)
-        p.add_argument("--n-samples", type=int, dest="n_samples")
+        for key in sorted(ALL_KEYS - {"mode"}):
+            p.add_argument("--" + key.replace("_", "-"))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    flags = vars(build_arg_parser().parse_args(argv))
+    path = flags.pop("config")
     text = ""
-    if args.config:
+    if path:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
-    overrides = {"mode": args.mode}
-    for key in ALL_KEYS - {"mode"}:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
     try:
         entries = _parse_lines(text)
-        for key, value in overrides.items():
-            entries[key] = (str(value), None)
-        config = _resolve(entries)
-        return run(config)
+        entries.update((key, (value, None)) for key, value in flags.items()
+                       if value is not None)
+        return run(_resolve(entries))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -113,8 +113,9 @@ class DriveConfig:
     """Per-run drive knobs (frequencies angular, phase in radians).
 
     phi is reduced to [0, 2*pi) on construction.  delta_probe is the probe
-    one-photon detuning used by the weak-probe response; the degenerate
-    steady-state and propagation paths ignore it.
+    one-photon detuning read by weak_probe_response alone; the degenerate
+    steady-state and propagation paths and every CLI mode ignore it, so
+    no config key sets it.
     """
 
     delta_b: float       # Zeeman splitting between |3> and |4> (signed)

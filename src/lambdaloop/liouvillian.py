@@ -279,10 +279,11 @@ def time_evolve(rho0: np.ndarray, generator: np.ndarray, t_final: float,
     fastest generator eigenvalue, so long horizons at stiff parameters
     belong to evolve_expm instead.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_final < 0.0:
-        raise ValueError("t_final must be non-negative")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not 0.0 <= t_final < math.inf:
+        raise ValueError(
+            f"t_final must be finite and non-negative, got {t_final!r}")
     vec = np.array(rho0, dtype=complex).reshape(-1)
     trace_ref = np.real(TRACE_ROW @ vec)
 
@@ -309,8 +310,9 @@ def evolve_expm(rho0: np.ndarray, generator: np.ndarray,
     at any stiffness and horizon, which makes it the long-time companion
     oracle to the algebraic steady-state solve.
     """
-    if t_final < 0.0:
-        raise ValueError("t_final must be non-negative")
+    if not 0.0 <= t_final < math.inf:
+        raise ValueError(
+            f"t_final must be finite and non-negative, got {t_final!r}")
     vec = np.array(rho0, dtype=complex).reshape(-1)
     propagator = expm(generator * t_final)
     rho = (propagator @ vec).reshape(DIM, DIM)

@@ -10,7 +10,8 @@ from __future__ import annotations
 from .core import AtomParams, DriveConfig, hz_to_angular
 
 # Dataclass field -> the config key that sets it.  A key ending in _hz is
-# an ordinary frequency, converted to rad/s on the way in.
+# an ordinary frequency, converted to rad/s on the way in.  No key sets
+# DriveConfig.delta_probe: only the library's weak_probe_response reads it.
 ATOM_KEYS = {
     "gamma_e": "gamma_e_hz", "gamma_pop": "gamma_pop_hz",
     "gamma_coh": "gamma_coh_hz", "delta_exc": "delta_exc_hz",
@@ -18,7 +19,7 @@ ATOM_KEYS = {
 }
 DRIVE_KEYS = {
     "delta_b": "delta_b_hz", "phi": "phi_rad", "omega_c": "omega_c_hz",
-    "omega_p": "omega_p_hz", "delta_probe": "delta_probe_hz",
+    "omega_p": "omega_p_hz",
 }
 
 PRESETS: dict[str, dict[str, float]] = {
@@ -33,7 +34,6 @@ PRESETS: dict[str, dict[str, float]] = {
         "omega_p_hz": 5e3,
         "delta_b_hz": 0.0,
         "phi_rad": 0.0,
-        "delta_probe_hz": 0.0,
     },
     "fig4-warm": {
         "gamma_e_hz": 500e6,
@@ -46,7 +46,6 @@ PRESETS: dict[str, dict[str, float]] = {
         "omega_p_hz": 60e3,
         "delta_b_hz": 0.0,
         "phi_rad": 0.0,
-        "delta_probe_hz": 0.0,
     },
 }
 

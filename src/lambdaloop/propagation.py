@@ -103,6 +103,13 @@ def carrier_stage(template, delta_b, fields, z, record=None):
     return gen, rho
 
 
+def check_steps(n_steps: int) -> None:
+    """Reject a z grid of fewer than 16 steps; every march calls this
+    before it does any work, whatever the optical depth."""
+    if n_steps < 16:
+        raise ValueError("n_steps must be at least 16")
+
+
 def z_march(rhs, state, length, n_steps):
     """Classical RK4 over z in [0, length]; the state at every z.
 
@@ -135,8 +142,7 @@ def propagate(fields_in, params: AtomParams, drive: DriveConfig,
     a free-space cell solves nothing and leaves it alone.  With
     verify_refinement it also receives the refinement_delta.
     """
-    if n_steps < 16:
-        raise ValueError("n_steps must be at least 16")
+    check_steps(n_steps)
     fields_in = np.asarray(fields_in, dtype=complex)
     kappa = calibrate_kappa(params)
     if kappa == 0.0:
@@ -202,9 +208,13 @@ def bare_transition_transmission(params: AtomParams,
     must equal exp(-OD); this is the oracle pinning the sign and the
     factor in calibrate_kappa.
     """
+    check_steps(n_steps)
     gamma = params.gamma_e
     if omega_probe is None:
         omega_probe = 1e-4 * gamma
+    if not (math.isfinite(omega_probe) and omega_probe != 0.0):
+        raise ValueError(
+            f"omega_probe must be finite and nonzero, got {omega_probe!r}")
     kappa = calibrate_kappa(params)
     eye2 = np.eye(2)
     jump = np.array([[0.0, 0.0], [math.sqrt(gamma), 0.0]], dtype=complex)

@@ -85,6 +85,7 @@ from .liouvillian import (
 from .propagation import (
     calibrate_kappa,
     carrier_stage,
+    check_steps,
     field_derivative,
     transmission,
     z_march,
@@ -121,11 +122,14 @@ def phase_grid(n_points: int) -> tuple:
 
 
 def _checked_grid(grid) -> tuple:
-    """The sweep grid as floats; it must be non-empty and strictly
+    """The sweep grid as floats; it must be non-empty, finite and strictly
     increasing.  Runs before anything is solved."""
     grid = tuple(float(x) for x in grid)
     if not grid:
         raise ValueError("sweep grid must be non-empty")
+    bad = next((x for x in grid if not math.isfinite(x)), None)
+    if bad is not None:
+        raise ValueError(f"sweep grid values must be finite, got {bad!r}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sweep grid must be strictly increasing")
     return grid
@@ -364,6 +368,8 @@ def chi_probe_timedomain(params: AtomParams, drive: DriveConfig,
     steps per period).  Independent of the harmonic-balance linear
     solve.
     """
+    if not math.isfinite(delta_hz):
+        raise ValueError(f"delta_hz must be finite, got {delta_hz!r}")
     if delta_hz == 0.0:
         raise ValueError("the lock-in oracle needs a nonzero detuning")
     delta = hz_to_angular(delta_hz)
@@ -398,6 +404,7 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
     deltas_hz.  A failed carrier solve or a diverging state raises
     PropagationError naming z.
     """
+    check_steps(n_steps)
     deltas = np.atleast_1d(np.asarray(deltas_hz, dtype=float))
     kappa = calibrate_kappa(params)
     if kappa == 0.0:
@@ -533,6 +540,7 @@ def pulse_response(params: AtomParams, drive: DriveConfig, pulse: PulseSpec,
     the fractional peak delay, output peak minus input peak over the
     FWHM; negative values are advances.
     """
+    check_steps(n_steps)
     _warn_if_strong_probe(drive, stacklevel=2)
     times = pulse.times
     envelope = pulse.envelope

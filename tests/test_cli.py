@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -7,6 +8,10 @@ import pytest
 from lambdaloop import AtomParams, DriveConfig, PulseSpec, propagation
 from lambdaloop.liouvillian import SteadyStateError
 from lambdaloop.cli import (
+    ALL_KEYS,
+    FLOAT_KEYS,
+    INT_KEYS,
+    MODES,
     PULSE_KEYS,
     ConfigError,
     build_arg_parser,
@@ -146,7 +151,8 @@ def test_warm_preset_expansion():
 def test_key_tables_cover_every_field():
     for cls, keys in ((AtomParams, ATOM_KEYS), (DriveConfig, DRIVE_KEYS),
                       (PulseSpec, PULSE_KEYS)):
-        assert set(keys) == {f.name for f in fields(cls)}
+        # delta_probe is a library argument of weak_probe_response only.
+        assert set(keys) == {f.name for f in fields(cls)} - {"delta_probe"}
     # The tables build the presets exactly as the positional constructors.
     for name in preset_names():
         v = preset_values(name)
@@ -156,7 +162,6 @@ def test_key_tables_cover_every_field():
         )
         assert preset_drive(name) == DriveConfig.from_hz(
             v["delta_b_hz"], v["phi_rad"], v["omega_c_hz"], v["omega_p_hz"],
-            v["delta_probe_hz"],
         )
 
 
@@ -398,14 +403,21 @@ def test_reused_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
     assert default["diagnostics"]["n_steps"] == 256
     assert default["config"]["steps"] == 256
 
-    for argv, code in ((quick + ["--steps", "many"], 2), (["--help"], 0)):
+    for argv, code in ((quick + ["--no-such-flag", "1"], 2), (["--help"], 0)):
         (tmp_path / "run.json").unlink()
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == code
         assert main(quick) == 0
         assert _sidecar(tmp_path / "run") == default
+    # A flag value is parsed like a config line, so a bad one is a
+    # configuration error rather than an argparse exit.
     capsys.readouterr()
+    assert main(quick + ["--steps", "many"]) == 2
+    assert capsys.readouterr().err == (
+        "error: steps must be an integer, got 'many'\n")
+    assert main(quick) == 0
+    assert _sidecar(tmp_path / "run") == default
 
 
 def test_parser_built_once_per_process(tmp_path, monkeypatch):
@@ -416,3 +428,78 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
                      "--out", f"steady-{n}"]) == 0
     assert build_arg_parser.cache_info().misses == 1
     assert build_arg_parser() is build_arg_parser()
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("key", sorted(FLOAT_KEYS | INT_KEYS))
+def test_bad_flag_value_reads_like_its_config_line(tmp_path, capsys, key):
+    # One parser for both: the message is the config line's, minus the line.
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"preset = fig3-cold\n{key} = many\n")
+    assert main(["transmit", "--config", str(config)]) == 2
+    from_file = capsys.readouterr().err
+    assert main(["transmit", "--preset", "fig3-cold", _flag(key), "many"]) == 2
+    from_flag = capsys.readouterr().err
+    kind = "an integer" if key in INT_KEYS else "a number"
+    assert from_flag == f"error: {key} must be {kind}, got 'many'\n"
+    assert from_file == from_flag.replace("error: ", "error: line 2: ")
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_unknown_preset_flag_names_no_line(tmp_path, capsys):
+    assert main(["transmit", "--preset", "bogus"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown preset 'bogus'; available: fig3-cold, fig4-warm\n")
+    config = tmp_path / "bogus.cfg"
+    config.write_text("od = 0\npreset = bogus\n")
+    assert main(["transmit", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: unknown preset 'bogus'; available: fig3-cold, "
+        "fig4-warm\n")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_help_lists_one_flag_per_key(capsys, mode):
+    with pytest.raises(SystemExit) as exit_:
+        main([mode, "--help"])
+    assert exit_.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed - {"--help"} == (
+        {"--config"} | {_flag(key) for key in ALL_KEYS - {"mode"}})
+
+
+def test_delta_probe_is_no_key(tmp_path, capsys):
+    # DriveConfig.delta_probe is read only by the library's
+    # weak_probe_response, so no flag or config line sets it.
+    with pytest.raises(SystemExit) as exit_:
+        main(["steady", "--preset", "fig3-cold", "--delta-probe-hz", "0"])
+    assert exit_.value.code == 2
+    assert "--delta-probe-hz" in capsys.readouterr().err
+    config = tmp_path / "probe.cfg"
+    config.write_text("preset = fig3-cold\ndelta_probe_hz = 0\n")
+    assert main(["steady", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: unknown key 'delta_probe_hz'\n")
+
+
+@pytest.mark.parametrize("mode", ["sweep-phase", "sweep-b", "spectrum"])
+@pytest.mark.parametrize("bounds, line, message", [
+    ("sweep_start = 0\nsweep_stop = inf\n", 4, "sweep_stop must be finite, got inf"),
+    ("sweep_start = nan\nsweep_stop = 1\n", 3, "sweep_start must be finite, got nan"),
+    ("sweep_start = -inf\nsweep_stop = 1\n", 3,
+     "sweep_start must be finite, got -inf"),
+], ids=["stop-inf", "start-nan", "start-minus-inf"])
+def test_non_finite_sweep_bound_reports_its_line(tmp_path, monkeypatch,
+                                                 capsys, recwarn, mode,
+                                                 bounds, line, message):
+    # Caught as a configuration error (exit 2) before any grid is built.
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "sweep.cfg"
+    config.write_text("preset = fig3-cold\nod = 0\n" + bounds + "points = 2\n")
+    assert main([mode, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+    assert not recwarn.list
+    assert list(tmp_path.iterdir()) == [config]

@@ -359,6 +359,24 @@ class TestTimeEvolution:
         with pytest.raises(SimulationError, match="dt"):
             time_evolve(UNPOLARIZED, gen, 0.05, 1e-3)
 
+    @pytest.mark.parametrize("t_final", [np.nan, np.inf])
+    def test_expm_rejects_non_finite_time(self, soft_atom, soft_drive,
+                                          t_final):
+        gen = circular_generator(soft_atom, soft_drive)
+        with pytest.raises(ValueError,
+                           match=f"^t_final must be finite and non-negative, "
+                                 f"got {t_final!r}$"):
+            evolve_expm(UNPOLARIZED, gen, t_final)
+
+    @pytest.mark.parametrize("t_final, dt, name", [
+        (1e-3, np.nan, "dt"), (np.nan, 1e-6, "t_final"),
+    ], ids=["dt", "t_final"])
+    def test_rk4_rejects_nan_times(self, soft_atom, soft_drive, t_final, dt,
+                                   name):
+        gen = circular_generator(soft_atom, soft_drive)
+        with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+            time_evolve(UNPOLARIZED, gen, t_final, dt)
+
     def test_expm_agrees_with_rk4(self, soft_atom, soft_drive):
         gen = circular_generator(soft_atom, soft_drive)
         lam = np.max(np.abs(np.linalg.eigvals(gen)))

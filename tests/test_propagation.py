@@ -5,12 +5,16 @@ from lambdaloop import (
     AtomParams,
     DriveConfig,
     PropagationError,
+    PulseSpec,
     SteadyStateError,
     bare_transition_transmission,
     calibrate_kappa,
     input_fields,
+    preset_atom,
+    preset_drive,
     probe_power,
     propagate,
+    pulse_response,
     sideband_transfer,
     substitution_image,
     to_linear,
@@ -49,6 +53,14 @@ class TestKappaCalibration:
         got = bare_transition_transmission(warm_atom)
         expected = np.exp(-warm_atom.optical_depth)
         assert got == pytest.approx(expected, rel=1e-4)
+
+    @pytest.mark.parametrize("omega_probe", [0.0, np.nan, np.inf])
+    def test_bare_transition_rejects_probe(self, warm_atom, omega_probe):
+        # Zero made 0/0 and NaN was blamed on the march at its first z.
+        with pytest.raises(ValueError, match=(
+                f"^omega_probe must be finite and nonzero, "
+                f"got {omega_probe!r}$")):
+            bare_transition_transmission(warm_atom, omega_probe=omega_probe)
 
 
 class TestProbePower:
@@ -95,10 +107,6 @@ class TestPropagate:
             transmission(warm_atom, warm_drive, 256,
                          verify_refinement=True, record=record)
         assert record["refinement_delta"] < 1e-6
-
-    def test_rejects_coarse_grid(self, cold_atom, cold_drive):
-        with pytest.raises(ValueError, match="n_steps"):
-            propagate(input_fields(cold_drive), cold_atom, cold_drive, 8)
 
     def test_total_power_never_amplified(self, warm_atom, cold_atom, rng):
         # Both excited states are decay-only, so the two-beam total power
@@ -274,6 +282,41 @@ MARCHES = pytest.mark.parametrize(
     "march", [_propagate, _sideband_transfer],
     ids=["propagate", "sideband_transfer"],
 )
+
+
+def _pulse_response(atom, drive, n_steps):
+    pulse = PulseSpec(fwhm=0.005, peak_omega_p=drive.omega_p, n_samples=256)
+    return pulse_response(atom, drive, pulse, n_steps)
+
+
+def _bare_transition(atom, _drive, n_steps):
+    return bare_transition_transmission(atom, n_steps=n_steps)
+
+
+@pytest.mark.parametrize(
+    "march", [_propagate, _sideband_transfer, _pulse_response,
+              _bare_transition],
+    ids=["propagate", "sideband_transfer", "pulse_response",
+         "bare_transition_transmission"],
+)
+@pytest.mark.parametrize("n_steps", [-4, 0, 8, 15])
+@pytest.mark.parametrize("preset", ["fig3-cold", "fig4-warm", "free-space"])
+def test_every_march_rejects_a_coarse_grid(monkeypatch, march, n_steps,
+                                           preset):
+    # The check runs before any work, so a free-space cell, which solves
+    # nothing, is rejected too; the stubs fail any march that starts.
+    def started(*args, **kwargs):
+        raise AssertionError("the march started before the grid check")
+
+    for module in (propagation, spectroscopy):
+        monkeypatch.setattr(module, "z_march", started)
+        monkeypatch.setattr(module, "calibrate_kappa", started)
+    atom = preset_atom("fig3-cold" if preset == "free-space" else preset)
+    if preset == "free-space":
+        atom = free_space(atom)
+    drive = preset_drive("fig3-cold")
+    with pytest.raises(ValueError, match="^n_steps must be at least 16$"):
+        march(atom, drive, n_steps)
 
 
 class TestFailurePaths:

@@ -121,6 +121,13 @@ class TestOracleAgreement:
         with pytest.raises(ValueError, match="nonzero"):
             chi_probe_timedomain(warm_atom, warm_drive, 0.0)
 
+    @pytest.mark.parametrize("delta_hz", [np.inf, np.nan])
+    def test_rejects_non_finite_detuning(self, warm_atom, warm_drive,
+                                         delta_hz):
+        with pytest.raises(ValueError,
+                           match=f"^delta_hz must be finite, got {delta_hz!r}$"):
+            chi_probe_timedomain(warm_atom, warm_drive, delta_hz)
+
 
 class TestCircularProbeReadout:
     """The probe sideband is driven and read in circular indices; seen
@@ -337,6 +344,13 @@ class TestSweeps:
                 sweep(cold_atom, cold_drive, (2.0, 1.0))
             with pytest.raises(ValueError, match="non-empty"):
                 sweep(cold_atom, cold_drive, ())
+            # Every comparison with NaN is false, so NaN would pass the
+            # ordering check on its own.
+            for grid, bad in (((0.0, np.nan, 1.0), "nan"),
+                              ((0.0, np.inf), "inf"), ((-np.inf, 0.0), "-inf")):
+                with pytest.raises(ValueError, match=(
+                        f"^sweep grid values must be finite, got {bad}$")):
+                    sweep(cold_atom, cold_drive, grid)
             # A valid grid does reach the stubbed solve.
             with pytest.raises(AssertionError, match="grid check"):
                 sweep(cold_atom, cold_drive, (0.0, 1.0))

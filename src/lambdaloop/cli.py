@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import CIRCULAR_LABELS, AtomParams, DriveConfig, input_fields
 from .presets import ATOM_KEYS, DRIVE_KEYS, PRESETS, from_keys, preset_names
-from .propagation import transmission
+from .propagation import MIN_STEPS, transmission
 from .liouvillian import circular_template, steady_state_matrix
 from .spectroscopy import (
     PulseSpec,
@@ -50,6 +50,8 @@ INT_KEYS = {"points", "steps", "n_samples"}
 FLOAT_KEYS = (set(FIELD_KEYS.values()) | set(SWEEP_KEYS)) - INT_KEYS
 STRING_KEYS = {"mode", "preset", "out"}
 ALL_KEYS = FLOAT_KEYS | INT_KEYS | STRING_KEYS
+# The flag of each config key but mode, which names the subcommand.
+_KEY_FLAGS = ["--" + k.replace("_", "-") for k in sorted(ALL_KEYS - {"mode"})]
 
 # Keys that may be omitted because a default exists.
 DEFAULTS = {
@@ -101,18 +103,13 @@ def _parse_lines(text: str) -> dict:
 
 
 def _convert(key: str, value: str, line: int | None):
-    where = f"line {line}: " if line is not None else ""
-    if key in FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{where}{key} must be a number, got {value!r}") from None
-    if key in INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{where}{key} must be an integer, got {value!r}") from None
-    return value
+    kind = float if key in FLOAT_KEYS else int if key in INT_KEYS else str
+    try:
+        return kind(value)
+    except ValueError:
+        where = f"line {line}: " if line is not None else ""
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{where}{key} must be {noun}, got {value!r}") from None
 
 
 def _resolve(entries: dict) -> RunConfig:
@@ -139,7 +136,6 @@ def _resolve(entries: dict) -> RunConfig:
         required |= set(SWEEP_KEYS)
     if mode == "pulse":
         required |= {"fwhm_s", "peak_omega_p_hz"}
-    required -= set(DEFAULTS)
     missing = sorted(k for k in required if k not in values)
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
@@ -165,8 +161,8 @@ def _resolve(entries: dict) -> RunConfig:
 
     if mode in ("transmit", "sweep-phase", "sweep-b") and drive.omega_p == 0.0:
         err("omega_p_hz", "transmission requires a nonzero probe amplitude")
-    if mode in Z_MARCH_MODES and values["steps"] < 16:
-        err("steps", f"steps must be >= 16, got {values['steps']}")
+    if mode in Z_MARCH_MODES and values["steps"] < MIN_STEPS:
+        err("steps", f"steps must be >= {MIN_STEPS}, got {values['steps']}")
     if mode in SWEEP_MODES:
         for key in ("sweep_start", "sweep_stop"):
             if not math.isfinite(values[key]):
@@ -210,12 +206,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _write_sidecar(path: str, config: RunConfig, diagnostics: dict) -> None:
-    payload = {
-        "config": {
-            k: v for k, v in sorted(config.raw.items())
-        },
-        "diagnostics": diagnostics,
-    }
+    payload = {"config": config.raw, "diagnostics": diagnostics}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -319,12 +310,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     for mode in MODES:
         p = sub.add_parser(mode, help=f"{mode} run")
         p.add_argument("--config", help="key = value configuration file")
-        for key in sorted(ALL_KEYS - {"mode"}):
-            p.add_argument("--" + key.replace("_", "-"))
+        for flag in _KEY_FLAGS:
+            p.add_argument(flag)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # Every flag takes one value; joined to its flag, a value such as
+    # -1e-3 or -inf is not taken by argparse for an option.
+    for i in reversed(range(1, len(argv))):
+        flag, value = argv[i - 1], argv[i]
+        if (flag == "--config" or flag in _KEY_FLAGS) and re.match("-[^-]", value):
+            argv[i - 1:i + 1] = [f"{flag}={value}"]
     flags = vars(build_arg_parser().parse_args(argv))
     path = flags.pop("config")
     text = ""

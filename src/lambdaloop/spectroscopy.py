@@ -12,24 +12,19 @@ with L0 the degenerate generator and V_p the probe coupling operator.
 The probe is the linear mode Omega_p = (Omega_1 - Omega_2)/sqrt(2) of
 the circular pair, and every probe-mode quantity here is read through
 core.to_linear (its inverse, to_circular, seeds the probe).  With the
-circular couplings V_1 = |2><3| + |1><3| and V_2 = |2><4| - |1><4|
-
-    V_p = to_linear((V_1, V_2))[1]
-        = (|1><3| + |1><4| + |2><3| - |2><4|)/sqrt(2),
-
-which is |1><X| + |2><Y| in the linear ground basis; its superoperator
-pair is the probe mode of the template's drive pieces, to_linear of
-(drive_a, drive_b) and of (drive_a_conj, drive_b_conj).  The reported
-susceptibility sample reads the same combination of coherences,
+circular couplings V_1, V_2 of the liouvillian (COUPLING_FIELD1/2),
+V_p = to_linear((V_1, V_2))[1] is |1><X| + |2><Y| in the linear ground
+basis; its superoperator pair is the probe mode of the template's drive
+pieces, to_linear of (drive_a, drive_b) and of (drive_a_conj,
+drive_b_conj).  The reported susceptibility sample reads the same
+combination of coherences,
 
     chi(delta) = -Tr(V_p^dagger rho_+) / eta
-               = -(rho_+[1,3] + rho_+[1,4] + rho_+[2,3] - rho_+[2,4])
-                 / (sqrt(2) * eta),
+               = -(rho_+[1,X] + rho_+[2,Y]) / eta,
 
-that is -(rho_+[1,X] + rho_+[2,Y]) / eta, with the overall sign fixed
-so that Im(chi) > 0 means absorption and a rising Re(chi) through
-two-photon resonance means slow light; the plain lambda limit then
-reproduces the textbook EIT lineshape (see tests).
+with the overall sign fixed so that Im(chi) > 0 means absorption and a
+rising Re(chi) through two-photon resonance means slow light; the plain
+lambda limit then reproduces the textbook EIT lineshape (see tests).
 Linearizing around the carrier-inclusive steady state is what gives the
 spectra their dependence on the relative phase and the magnetic field:
 with the carrier removed, the response at the probe frequency carries
@@ -43,15 +38,18 @@ thick-medium transfer that co-propagates the sideband together with its
 four-wave-mixing conjugate partner through the cell.  The latter feeds
 the pulse filter.
 
-The transfer solves both sidebands with one LU factorisation per
-integrator stage.  With D(v) = conj(vec(mat(v)^T)), the map
-vec(M) -> vec(M^dagger), every generator satisfies D L D = L: D maps
-the static and Zeeman pieces to themselves and each drive piece to its
-conjugate partner, bit for bit.  D is antilinear, so the +delta response
-x solving (+i*delta - L) x = s is D(y) with (-i*delta - L) y = D(s),
-the same matrix the -delta sideband needs.  Because the carrier state
-is exactly Hermitian, D(s) is built from the same drive-piece products
-as the -delta seed, with conjugated coefficients.
+The transfer carries the -delta and +delta sideband fields e and f
+beside the carrier.  Their seeds are the drive pieces (drive_a,
+drive_a_conj, drive_b, drive_b_conj) on the carrier state, with the
+coefficients c = (e1, f1, e2, f2) at -delta and (f1, e1, f2, e2) at
++delta, and each field grows by propagation.field_derivative of its own
+response.  Both share one LU factorisation per integrator stage.  With
+D(v) = conj(vec(mat(v)^T)), the map vec(M) -> vec(M^dagger), every
+generator satisfies D L D = L: D maps the static and Zeeman pieces to
+themselves and each drive piece to its conjugate partner, bit for bit.
+D is antilinear and the carrier state exactly Hermitian, so D of the
++delta seed has the coefficients conj(c), and the +delta response is
+mat(y)^dagger with (-i*delta - L) y = D(seed), the -delta matrix.
 """
 from __future__ import annotations
 
@@ -74,8 +72,6 @@ from .core import (
     to_linear,
 )
 from .liouvillian import (
-    COUPLING_FIELD1,
-    COUPLING_FIELD2,
     SteadyStateError,
     circular_template,
     refined_solve,
@@ -83,6 +79,7 @@ from .liouvillian import (
     steady_state_matrix,
 )
 from .propagation import (
+    FIELD_ROWS,
     calibrate_kappa,
     carrier_stage,
     check_steps,
@@ -101,15 +98,8 @@ PULSE_SPECTRUM_CUTOFF = 1e-8
 _I16 = np.eye(16, dtype=complex)
 
 #: Row functional reading the probe coherence rho_1X + rho_2Y off a
-#: vectorised circular-basis state: Tr(V_p^dagger rho) with V_p the probe
-#: mode of the circular couplings.  V_p is real, so the row is its
-#: row-major flattening.
-_PROBE_ROW = to_linear((COUPLING_FIELD1, COUPLING_FIELD2))[1].reshape(-1)
-
-#: Picks the sideband seed coefficients of each drive piece (rows) from
-#: (state, conj(state)) of the transfer march: (e1, conj m1c, e2,
-#: conj m2c) for -delta and their conjugates for D of +delta.
-_SEED_INDEX = np.array([[2, 8], [10, 4], [3, 9], [11, 5]])
+#: vectorised state: Tr(V_p^dagger rho), the probe mode of the field rows.
+_PROBE_ROW = to_linear(FIELD_ROWS)[1]
 
 
 class WeakProbeWarning(UserWarning):
@@ -179,7 +169,7 @@ def _solve_sideband(gen, delta_angular, seed):
             f"sideband response solve failed at delta = "
             f"{delta_angular / TWO_PI:.6g} Hz: {exc}"
         ) from exc
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise SteadyStateError(
             f"sideband response diverged at delta = "
             f"{delta_angular / TWO_PI:.6g} Hz"
@@ -394,15 +384,16 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
     """Thick-medium transfer of a probe-envelope modulation component.
 
     Co-integrates the degenerate carrier pair together with a probe-mode
-    sideband at -delta and its four-wave-mixing conjugate partner at
-    +delta through the cell; the pair is seeded the way a real envelope
-    modulation populates it (equal amplitudes).  At each integrator
-    stage the carrier steady state feeds the carrier derivatives and the
-    two first-order responses, which share one factorisation through the
-    conjugation symmetry D of the module docstring.  Returns the output
-    probe-mode modulation per unit input, one complex value per entry of
-    deltas_hz.  A failed carrier solve or a diverging state raises
-    PropagationError naming z.
+    sideband field e at -delta and its four-wave-mixing conjugate partner
+    f at +delta through the cell; the pair is seeded the way a real
+    envelope modulation populates it (equal amplitudes).  At each
+    integrator stage the carrier steady state feeds the carrier
+    derivatives and the two first-order responses, which share one
+    factorisation through the conjugation symmetry D of the module
+    docstring; all three derivatives are propagation.field_derivative.
+    Returns the output probe-mode modulation per unit input, one complex
+    value per entry of deltas_hz.  A failed carrier solve or a diverging
+    state raises PropagationError naming z.
     """
     check_steps(n_steps)
     deltas = np.atleast_1d(np.asarray(deltas_hz, dtype=float))
@@ -413,10 +404,9 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
     template = circular_template(params)
     # drive_a, drive_a_conj, drive_b, drive_b_conj as one (64, 16) map.
     drive_pieces = template.basis[2:].reshape(64, 16)
-    # Carrier pair, then unit probe modulation in each sideband pair.
+    # (Omega_1, Omega_2, e1, e2, f1, f2): unit probe modulation in e and f.
     unit_probe = to_circular(0.0, 1.0)
     state_in = np.concatenate([input_fields(drive), unit_probe, unit_probe])
-    ik = 1j * kappa
 
     out = np.empty(deltas.shape, dtype=complex)
     for i, d_hz in enumerate(deltas):
@@ -424,20 +414,17 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
 
         def rhs(state, z):
             gen, rho = carrier_stage(template, drive.delta_b, state, z)
-            pieces = (drive_pieces @ rho.reshape(-1)).reshape(4, 16)
-            # Column 0 seeds the -delta sideband with (e1, conj m1c, e2,
-            # conj m2c); column 1 is D of the +delta seed, so D of its
-            # solution is the +delta response.
-            coeffs = np.concatenate([state, state.conj()])[_SEED_INDEX]
-            x = _solve_sideband(gen, delta, pieces.T @ coeffs)
-            x = x.reshape(4, 4, 2)
-            # The +delta pair is conj(field_derivative(D x)).
-            return np.array([
-                *field_derivative(kappa, rho),
-                -ik * (x[1, 2, 0] + x[0, 2, 0]),
-                -ik * (x[1, 3, 0] - x[0, 3, 0]),
-                ik * (x[2, 1, 1] + x[2, 0, 1]),
-                ik * (x[3, 1, 1] - x[3, 0, 1]),
+            pieces = drive_pieces.dot(rho.ravel()).reshape(4, 16)
+            # Column 0 seeds the -delta sideband with c = (e1, f1, e2,
+            # f2); column 1, with conj(c), is D of the +delta seed, so
+            # the +delta response is mat(x[:, 1])^dagger.
+            c = state[2:].reshape(2, 2).T.ravel()
+            seeds = pieces.T.dot(np.array((c, c.conj())).T)
+            x = _solve_sideband(gen, delta, seeds)
+            return np.concatenate([
+                field_derivative(kappa, rho),
+                field_derivative(kappa, x[:, 0].reshape(4, 4)),
+                field_derivative(kappa, x[:, 1].reshape(4, 4).conj().T),
             ])
 
         state = z_march(rhs, state_in, params.cell_length, n_steps)[-1]

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lambdaloop import AtomParams, DriveConfig, PulseSpec, propagation
+from lambdaloop import AtomParams, DriveConfig, PulseSpec, cli, propagation
 from lambdaloop.liouvillian import SteadyStateError
 from lambdaloop.cli import (
     ALL_KEYS,
@@ -503,3 +503,34 @@ def test_non_finite_sweep_bound_reports_its_line(tmp_path, monkeypatch,
     assert capsys.readouterr().err == f"error: line {line}: {message}\n"
     assert not recwarn.list
     assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("key", sorted(FLOAT_KEYS))
+def test_negative_exponent_flag_value_reads_like_joined(monkeypatch, capsys,
+                                                        key):
+    # argparse takes "-1e-3" for an option unless it is joined to its
+    # flag; every flag takes one value, so both spellings resolve alike.
+    resolved = []
+    monkeypatch.setattr(cli, "run",
+                        lambda config: resolved.append(config.raw) or 0)
+    outcomes = []
+    for tail in ([_flag(key), "-1e-3"], [f"{_flag(key)}=-1e-3"]):
+        code = main(["steady", "--preset", "fig3-cold", *tail])
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    if outcomes[0][0] == 0:
+        assert resolved[0] == resolved[1]
+        assert resolved[0][key] == -1e-3
+    else:
+        assert outcomes[0][0] == 2 and not resolved
+
+
+def test_negative_infinite_flag_reaches_the_bound_check(tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep-b", "--preset", "fig3-cold", "--od", "0",
+                 "--sweep-start", "-inf", "--sweep-stop", "1",
+                 "--points", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: sweep_start must be finite, got -inf\n")
+    assert list(tmp_path.iterdir()) == []

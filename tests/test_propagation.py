@@ -83,6 +83,25 @@ class TestProbePower:
             )
 
 
+def test_field_derivative_is_the_propagation_equations(rng):
+    # The hand-written equations, the reference for the rows derived
+    # from the couplings: dOmega_1/dz = -i kappa (rho_23 + rho_13) and
+    # dOmega_2/dz = -i kappa (rho_24 - rho_14), levels counted from 1.
+    for kappa in (0.0, 1.0, 2.5e3, propagation.calibrate_kappa(
+            preset_atom("fig4-warm"))):
+        for _ in range(50):
+            rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            # A transposed view too, as the sideband march passes one.
+            for r in (rho, rho.conj().T):
+                expected = np.array([
+                    -1j * kappa * (r[1, 2] + r[0, 2]),
+                    -1j * kappa * (r[1, 3] - r[0, 3]),
+                ])
+                got = propagation.field_derivative(kappa, r)
+                assert got.shape == (2,)
+                assert (got == expected).all()
+
+
 class TestPropagate:
     def test_free_space_fields_constant(self, cold_atom, cold_drive):
         atom = free_space(cold_atom)

@@ -496,13 +496,13 @@ class TestSidebandConjugationSymmetry:
         low = _solve_sideband(gen, delta, seed_low)
         high = _solve_sideband(gen, -delta, seed_high)
 
-        # The seed block sideband_transfer builds: the -delta seed and
-        # D of the +delta seed, from the same drive-piece products.
+        # The seed block sideband_transfer builds from its state, which
+        # holds the +delta field f = conj(m): c = (e1, f1, e2, f2) seeds
+        # -delta, and conj(c) is D of the +delta seed.
         pieces = (template.basis[2:].reshape(64, 16) @ vec).reshape(4, 16)
-        state = np.array([0.0, 0.0, e1, e2, m1c, m2c])
-        coeffs = np.concatenate([state, state.conj()])[
-            spectroscopy._SEED_INDEX]
-        seeds = pieces.T @ coeffs
+        state = np.array([0.0, 0.0, e1, e2, np.conj(m1c), np.conj(m2c)])
+        c = state[2:].reshape(2, 2).T.ravel()
+        seeds = pieces.T @ np.array((c, c.conj())).T
         scale = np.max(np.abs([seed_low, seed_high]))
         assert np.max(np.abs(seeds[:, 0] - seed_low)) <= 1e-13 * scale
         assert (np.max(np.abs(seeds[:, 1] - _dagger(seed_high)))

@@ -301,14 +301,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     One flag per config key, holding the value as text: a flag is
     converted and checked exactly like the config line it overrides.
+    Flags are spelled in full (no prefix matching), so each key has one
+    spelling and main's value join covers every flag.
     """
     parser = argparse.ArgumentParser(
         prog="lambdaloop",
         description="Four-level closed-loop atomic medium simulator",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in MODES:
-        p = sub.add_parser(mode, help=f"{mode} run")
+        p = sub.add_parser(mode, help=f"{mode} run", allow_abbrev=False)
         p.add_argument("--config", help="key = value configuration file")
         for flag in _KEY_FLAGS:
             p.add_argument(flag)

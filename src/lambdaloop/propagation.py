@@ -89,9 +89,16 @@ def probe_power(fields) -> tuple[float, float]:
 
 
 def field_derivative(kappa: float, rho: np.ndarray) -> np.ndarray:
-    """d(Omega_1, Omega_2)/dz = -i kappa Tr(V_k^dagger rho), k = 1, 2."""
+    """d(Omega_1, Omega_2)/dz = -i kappa Tr(V_k^dagger rho), k = 1, 2.
+
+    rho is a 4x4 state, a vectorised one (16,) or a (16, k) block of
+    vectorised states, one per column, all read in one product; the
+    result is (2,) or (2, k).
+    """
+    if rho.shape == (4, 4):
+        rho = rho.ravel()
     # ndarray.dot: less per-call overhead than @ on these small operands.
-    return (-1j * kappa) * FIELD_ROWS.dot(rho.ravel())
+    return (-1j * kappa) * FIELD_ROWS.dot(rho)
 
 
 def carrier_stage(template, delta_b, fields, z, record=None):

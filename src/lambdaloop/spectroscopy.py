@@ -49,10 +49,13 @@ generator satisfies D L D = L: D maps the static and Zeeman pieces to
 themselves and each drive piece to its conjugate partner, bit for bit.
 D is antilinear and the carrier state exactly Hermitian, so D of the
 +delta seed has the coefficients conj(c), and the +delta response is
-mat(y)^dagger with (-i*delta - L) y = D(seed), the -delta matrix.
+mat(y)^dagger with (-i*delta - L) y = D(seed), the -delta matrix.  The
+carrier state and both responses are read together, in one
+field_derivative call per stage.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -95,7 +98,8 @@ CHI_SIGN = -1.0
 #: left at unity.
 PULSE_SPECTRUM_CUTOFF = 1e-8
 
-_I16 = np.eye(16, dtype=complex)
+#: vec(M) -> vec(M^T) as an index: D(v) = conj(v[_TRANSPOSE]).
+_TRANSPOSE = np.arange(16).reshape(4, 4).T.ravel()
 
 #: Row functional reading the probe coherence rho_1X + rho_2Y off a
 #: vectorised state: Tr(V_p^dagger rho), the probe mode of the field rows.
@@ -149,6 +153,16 @@ def modulation_depth(curve: Curve) -> float:
     return float(ys.max() - ys.min())
 
 
+@functools.lru_cache(maxsize=8)
+def _detuning_shift(delta_angular: float) -> np.ndarray:
+    """-i*delta*I, read-only, built once per detuning rather than once
+    per solve: a transfer bin solves at one delta in every stage.  Equal
+    detunings, 0.0 and -0.0 among them, give bit-identical shifts."""
+    shift = -1j * delta_angular * np.eye(16, dtype=complex)
+    shift.flags.writeable = False
+    return shift
+
+
 def _solve_sideband(gen, delta_angular, seed):
     """Solve (-i*delta - gen) x = seed; trace-replaced on resonance.
 
@@ -157,7 +171,7 @@ def _solve_sideband(gen, delta_angular, seed):
     (the generator kernel); the physical limit is the trace-free
     solution, which the trace row picks uniquely.
     """
-    a = -1j * delta_angular * _I16 - gen
+    a = _detuning_shift(delta_angular) - gen
     if delta_angular == 0.0:
         replace_trace_row(a, np.max(np.abs(gen)))
         seed = seed.copy()
@@ -390,13 +404,17 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
     integrator stage the carrier steady state feeds the carrier
     derivatives and the two first-order responses, which share one
     factorisation through the conjugation symmetry D of the module
-    docstring; all three derivatives are propagation.field_derivative.
-    Returns the output probe-mode modulation per unit input, one complex
-    value per entry of deltas_hz.  A failed carrier solve or a diverging
-    state raises PropagationError naming z.
+    docstring; one propagation.field_derivative call per stage reads all
+    three derivatives.  Returns the output probe-mode modulation per
+    unit input, one complex value per entry of deltas_hz.  A non-finite
+    detuning raises ValueError before anything is solved; a failed
+    carrier solve or a diverging state raises PropagationError naming z.
     """
     check_steps(n_steps)
     deltas = np.atleast_1d(np.asarray(deltas_hz, dtype=float))
+    bad = deltas[~np.isfinite(deltas)]
+    if bad.size:
+        raise ValueError(f"deltas_hz must be finite, got {float(bad[0])!r}")
     kappa = calibrate_kappa(params)
     if kappa == 0.0:
         return np.ones(deltas.shape, dtype=complex)
@@ -407,6 +425,8 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
     # (Omega_1, Omega_2, e1, e2, f1, f2): unit probe modulation in e and f.
     unit_probe = to_circular(0.0, 1.0)
     state_in = np.concatenate([input_fields(drive), unit_probe, unit_probe])
+    # The state entries of the seed coefficients c = (e1, f1, e2, f2).
+    seed_index = np.array([2, 4, 3, 5])
 
     out = np.empty(deltas.shape, dtype=complex)
     for i, d_hz in enumerate(deltas):
@@ -414,18 +434,18 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
 
         def rhs(state, z):
             gen, rho = carrier_stage(template, drive.delta_b, state, z)
-            pieces = drive_pieces.dot(rho.ravel()).reshape(4, 16)
+            vec = rho.ravel()
+            pieces = drive_pieces.dot(vec).reshape(4, 16)
             # Column 0 seeds the -delta sideband with c = (e1, f1, e2,
             # f2); column 1, with conj(c), is D of the +delta seed, so
-            # the +delta response is mat(x[:, 1])^dagger.
-            c = state[2:].reshape(2, 2).T.ravel()
+            # the +delta response is D(x[:, 1]).
+            c = state[seed_index]
             seeds = pieces.T.dot(np.array((c, c.conj())).T)
             x = _solve_sideband(gen, delta, seeds)
-            return np.concatenate([
-                field_derivative(kappa, rho),
-                field_derivative(kappa, x[:, 0].reshape(4, 4)),
-                field_derivative(kappa, x[:, 1].reshape(4, 4).conj().T),
-            ])
+            # The carrier and both responses as columns of one readout;
+            # the (2, 3) derivative block read by column is (Omega, e, f).
+            block = np.array((vec, x[:, 0], x[:, 1][_TRANSPOSE].conj()))
+            return field_derivative(kappa, block.T).T.ravel()
 
         state = z_march(rhs, state_in, params.cell_length, n_steps)[-1]
         out[i] = to_linear(state[2:4])[1]

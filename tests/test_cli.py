@@ -534,3 +534,24 @@ def test_negative_infinite_flag_reaches_the_bound_check(tmp_path, monkeypatch,
     assert capsys.readouterr().err == (
         "error: sweep_start must be finite, got -inf\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_abbreviated_flag_is_no_flag(tmp_path, monkeypatch, capsys):
+    # One spelling per key: a prefix of a flag is rejected, with a
+    # negative value or without, so main's value join covers every flag
+    # argparse accepts.
+    monkeypatch.chdir(tmp_path)
+    for value in ("-1e-3", "1e-3"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["steady", "--preset", "fig3-cold", "--delta-b", value])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: --delta-b {value}" in (
+            capsys.readouterr().err)
+    for key in sorted(ALL_KEYS - {"mode"}):
+        with pytest.raises(SystemExit) as exit_:
+            main(["steady", _flag(key)[:-1], "1"])
+        assert exit_.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    assert main(["steady", "--preset", "fig3-cold", "--delta-b-hz",
+                 "-1e-3"]) == 0
+    assert _sidecar(tmp_path / "run")["config"]["delta_b_hz"] == -1e-3

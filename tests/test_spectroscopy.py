@@ -424,6 +424,51 @@ class TestPulse:
             PulseSpec(fwhm=1e-3, peak_omega_p=1.0, n_samples=256,
                       carrier_detuning=hz_to_angular(14e3))
 
+    @pytest.mark.parametrize("od", [0.0, 15.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_transfer_rejects_non_finite_detuning(self, warm_atom,
+                                                  warm_drive, monkeypatch,
+                                                  od, bad):
+        # Named and rejected before any solve, at any optical depth,
+        # with no numpy warning on the way; the stubs fail any solve.
+        def started(*args, **kwargs):
+            raise AssertionError("a solve ran before the detuning check")
+
+        monkeypatch.setattr(spectroscopy, "carrier_stage", started)
+        monkeypatch.setattr(spectroscopy, "_solve_sideband", started)
+        atom = replace(warm_atom, optical_depth=od)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                    f"^deltas_hz must be finite, got {bad!r}$")):
+                sideband_transfer(atom, warm_drive, [5.0, bad, -5.0], 16)
+
+    @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
+    def test_plus_and_minus_bins_march_one_field_pair(self, name,
+                                                      monkeypatch):
+        # The bin at +delta carries e at -delta and f at +delta, the bin
+        # at -delta the same two fields the other way round, from the same
+        # seeds; so its f output is the e output of the other bin (and
+        # the other way round) and the carrier is the same march.  One
+        # march per +/-delta pair would therefore give both bins.
+        real = spectroscopy.z_march
+        ends = []
+
+        def captured(*args, **kwargs):
+            profile = real(*args, **kwargs)
+            ends.append(profile[-1])
+            return profile
+
+        monkeypatch.setattr(spectroscopy, "z_march", captured)
+        deltas = [3.0, 7.0, 40.0]
+        sideband_transfer(preset_atom(name), preset_drive(name),
+                          deltas + [-d for d in deltas], 64)
+        for plus, minus in zip(ends[:3], ends[3:]):
+            assert np.array_equal(plus[:2], minus[:2])
+            scale = np.max(np.abs(minus[2:]))
+            assert np.max(np.abs(plus[4:6] - minus[2:4])) <= 1e-13 * scale
+            assert np.max(np.abs(plus[2:4] - minus[4:6])) <= 1e-13 * scale
+
     def test_transfer_grid_converged(self, warm_atom, warm_drive):
         coarse = sideband_transfer(warm_atom, warm_drive, [12.0], 96)[0]
         fine = sideband_transfer(warm_atom, warm_drive, [12.0], 192)[0]
@@ -501,7 +546,7 @@ class TestSidebandConjugationSymmetry:
         # -delta, and conj(c) is D of the +delta seed.
         pieces = (template.basis[2:].reshape(64, 16) @ vec).reshape(4, 16)
         state = np.array([0.0, 0.0, e1, e2, np.conj(m1c), np.conj(m2c)])
-        c = state[2:].reshape(2, 2).T.ravel()
+        c = state[[2, 4, 3, 5]]
         seeds = pieces.T @ np.array((c, c.conj())).T
         scale = np.max(np.abs([seed_low, seed_high]))
         assert np.max(np.abs(seeds[:, 0] - seed_low)) <= 1e-13 * scale

@@ -53,6 +53,22 @@ def test_carrier_solves_per_march_and_per_bin(tracer, cold_atom, cold_drive):
     assert tracer.edges[TRANSFER, SSM] == 64 * 2
 
 
+def test_readme_pulse_counts(tracer, tmp_path, monkeypatch):
+    # The README pulse at 16 steps, which perfbench's pulse workload runs
+    # as its warm-up: its bins and carrier solves per bin, as perfbench
+    # derives them for that command.
+    import workloads
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["pulse", "--preset", "fig4-warm", "--fwhm-s", "0.005",
+            "--peak-omega-p-hz", "60e3"]
+    assert argv == workloads.PULSE_ARGV
+    assert lambdaloop.cli.main(argv + ["--steps", "16"]) == 0
+    assert tracer.stats[TRANSFER].calls == 1
+    assert tracer.stats[TRANSFER].units == workloads.PULSE_BINS == 37
+    assert tracer.edges[TRANSFER, SSM] == 37 * 4 * 16
+
+
 def test_lock_in_expm_calls(tracer, warm_atom, warm_drive):
     delta_hz, periods = -15.0, 1
     lambdaloop.spectroscopy.chi_probe_timedomain(

@@ -23,7 +23,6 @@ from .liouvillian import (
     nullspace_dimension,
     steady_state_matrix,
     substitution_image,
-    time_evolve,
 )
 from .propagation import (
     PropagationError,
@@ -81,7 +80,6 @@ __all__ = [
     "substitution_image",
     "sweep_bfield",
     "sweep_phase",
-    "time_evolve",
     "to_circular",
     "to_linear",
     "transmission",

@@ -220,6 +220,9 @@ class Curve:
         ys = np.asarray(self.ys)
         if xs.ndim != 1 or ys.shape != xs.shape:
             raise ValueError("xs and ys must be 1-D of equal length")
+        if not np.isfinite(xs).all():
+            raise ValueError("abscissa values must be finite, got "
+                             f"{float(xs[~np.isfinite(xs)][0])!r}")
         if np.any(xs[1:] <= xs[:-1]):
             raise ValueError("abscissa values must be strictly increasing")
         if not len(xs):

@@ -1,4 +1,4 @@
-"""Master-equation generator, steady state and time evolution.
+"""Master-equation generator, steady state and exact time evolution.
 
 The Hamiltonian couples each circular field to both excited states,
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm, get_lapack_funcs
@@ -28,7 +28,6 @@ from .core import (
     AtomParams,
     DriveConfig,
     SimulationError,
-    TWO_PI,
     validate_density_matrix,
 )
 
@@ -42,9 +41,6 @@ STEADY_RESIDUAL_TOL = 1e-8
 #: above machine-level null values and far below the slowest physical
 #: rate for any realistic parameter set.
 NULLSPACE_REL_TOL = 1e-11
-
-#: Trace drift at which fixed-step integration is declared unstable.
-TRACE_DRIFT_LIMIT = 1e-6
 
 
 class SteadyStateError(SimulationError):
@@ -70,9 +66,6 @@ UPPER_PROJECTOR = _op(0, 0)
 _gesv, _getrs = get_lapack_funcs(
     ("gesv", "getrs"), (np.empty((1, 1), dtype=complex),)
 )
-
-#: Row functional extracting the trace from a row-major vectorized state.
-TRACE_ROW = np.eye(DIM, dtype=complex).reshape(-1)
 
 
 def commutator_superop(op: np.ndarray) -> np.ndarray:
@@ -120,13 +113,6 @@ class GeneratorTemplate:
 
     def __post_init__(self):
         object.__setattr__(self, "_flat", self.basis.reshape(6, -1))
-
-    static = property(lambda self: self.basis[0])
-    zeeman = property(lambda self: self.basis[1])
-    drive_a = property(lambda self: self.basis[2])
-    drive_a_conj = property(lambda self: self.basis[3])
-    drive_b = property(lambda self: self.basis[4])
-    drive_b_conj = property(lambda self: self.basis[5])
 
     def generator(self, delta_b: float, amp_a: complex, amp_b: complex) -> np.ndarray:
         # Python complexes build the coefficient array faster than the
@@ -179,7 +165,8 @@ def refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def replace_trace_row(a: np.ndarray, scale: float) -> np.ndarray:
-    """Overwrite row 0 of a 16x16 system with TRACE_ROW * scale, in place.
+    """Overwrite row 0 of a 16x16 system with scale times the trace
+    functional of a row-major vectorized state, in place.
 
     The replaced equation pins the trace of the solution, which singles
     out one solution of a system whose kernel is the generator's; scale
@@ -270,38 +257,6 @@ def rk4_step(rhs, y, t: float, h: float):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def time_evolve(rho0: np.ndarray, generator: np.ndarray, t_final: float,
-                dt: float) -> np.ndarray:
-    """Integrate d(rho)/dt = generator . rho with classical RK4.
-
-    Fixed step; the final partial step is shortened to land on t_final.
-    Explicit stepping demands dt below the stability limit set by the
-    fastest generator eigenvalue, so long horizons at stiff parameters
-    belong to evolve_expm instead.
-    """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    if not 0.0 <= t_final < math.inf:
-        raise ValueError(
-            f"t_final must be finite and non-negative, got {t_final!r}")
-    vec = np.array(rho0, dtype=complex).reshape(-1)
-    trace_ref = np.real(TRACE_ROW @ vec)
-
-    n_full, remainder = divmod(t_final, dt)
-    steps = [dt] * int(n_full)
-    if remainder > 1e-15 * max(t_final, dt):
-        steps.append(remainder)
-    for k, h in enumerate(steps):
-        vec = rk4_step(lambda v, _t: generator @ v, vec, k * dt, h)
-        drift = abs(np.real(TRACE_ROW @ vec) - trace_ref)
-        if not np.isfinite(drift) or drift > TRACE_DRIFT_LIMIT:
-            raise SimulationError(
-                f"trace drift {drift:.3e} after step {k + 1} signals "
-                f"step-size instability; decrease dt below {h:.3e}"
-            )
-    return vec.reshape(DIM, DIM)
-
-
 def evolve_expm(rho0: np.ndarray, generator: np.ndarray,
                 t_final: float) -> np.ndarray:
     """Apply the exact semigroup exp(generator * t) to a state.
@@ -324,12 +279,7 @@ def substitution_image(drive: DriveConfig) -> DriveConfig:
 
     Reversing the magnetic field while advancing the relative phase by pi
     conjugates the generator by a fixed unitary, so every probe observable
-    coincides between the two drives.
+    coincides between the two drives.  DriveConfig reduces the phase to
+    [0, 2*pi).
     """
-    return DriveConfig(
-        delta_b=-drive.delta_b,
-        phi=(drive.phi + math.pi) % TWO_PI,
-        omega_c=drive.omega_c,
-        omega_p=drive.omega_p,
-        delta_probe=drive.delta_probe,
-    )
+    return replace(drive, delta_b=-drive.delta_b, phi=drive.phi + math.pi)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -66,12 +67,12 @@ def calibrate_kappa(params: AtomParams) -> float:
     return params.optical_depth * params.gamma_e / (4.0 * params.cell_length)
 
 
-def probe_power(fields) -> tuple[float, float]:
-    """Probe power of a circular pair (Omega_1, Omega_2) and their phase.
+def probe_power(fields) -> float:
+    """Probe power |Omega_p|^2 of a circular pair (Omega_1, Omega_2).
 
-    Evaluates (|O1|^2 + |O2|^2 - 2|O1||O2| cos(theta))/2 with
-    theta = arg(O1) - arg(O2), cross-checks it against |Omega_p|^2 from
-    the basis transform, and returns (power, theta).
+    The power from the basis transform is cross-checked against the
+    interference form (|O1|^2 + |O2|^2 - 2|O1||O2| cos(theta))/2 with
+    theta = arg(O1) - arg(O2) before it is returned.
     """
     o1, o2 = complex(fields[0]), complex(fields[1])
     theta = cmath.phase(o1) - cmath.phase(o2)
@@ -85,7 +86,7 @@ def probe_power(fields) -> tuple[float, float]:
             "probe-power expressions disagree: "
             f"{interference!r} vs {direct!r}"
         )
-    return direct, theta
+    return direct
 
 
 def field_derivative(kappa: float, rho: np.ndarray) -> np.ndarray:
@@ -118,8 +119,14 @@ def carrier_stage(template, delta_b, fields, z, record=None):
 
 
 def check_steps(n_steps: int) -> None:
-    """Reject a z grid of fewer than MIN_STEPS steps; every march calls
-    this before it does any work, whatever the optical depth."""
+    """Reject a z grid that is not an integer count of at least MIN_STEPS
+    steps; every march calls this before it does any work, whatever the
+    optical depth."""
+    try:
+        operator.index(n_steps)
+    except TypeError:
+        raise ValueError(
+            f"n_steps must be an integer, got {n_steps!r}") from None
     if n_steps < MIN_STEPS:
         raise ValueError(f"n_steps must be at least {MIN_STEPS}")
 
@@ -175,8 +182,8 @@ def propagate(fields_in, params: AtomParams, drive: DriveConfig,
     profile = march(n_steps, record)
     if verify_refinement:
         fine = march(2 * n_steps, None)
-        coarse_p = probe_power(profile[-1])[0]
-        fine_p = probe_power(fine[-1])[0]
+        coarse_p = probe_power(profile[-1])
+        fine_p = probe_power(fine[-1])
         ref = max(abs(fine_p), abs(fields_in[0]) ** 2 * 1e-30)
         delta = abs(coarse_p - fine_p) / ref
         if record is not None:
@@ -206,8 +213,8 @@ def transmission(params: AtomParams, drive: DriveConfig, n_steps: int = 256,
         fields_in, params, drive, n_steps,
         verify_refinement=verify_refinement, record=record,
     )
-    p_in, _ = probe_power(fields_in)
-    p_out, _ = probe_power(profile[-1])
+    p_in = probe_power(fields_in)
+    p_out = probe_power(profile[-1])
     return p_out / p_in if p_in > 0.0 else 0.0
 
 

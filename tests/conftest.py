@@ -89,7 +89,7 @@ def warm_drive():
 
 @pytest.fixture(scope="session")
 def soft_atom():
-    # Rates compressed into a narrow span so explicit integration is cheap.
+    # Rates compressed into a narrow span for the time-domain checks.
     return AtomParams.from_hz(2e3, 40.0, 60.0, 1.5e3, 0.1, 0.075)
 
 

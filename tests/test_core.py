@@ -233,6 +233,16 @@ class TestCurve:
         with pytest.raises(ValueError, match="increasing"):
             Curve("x", [0.0, 0.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("xs, bad", [
+        ([0.0, np.nan, 2.0], "nan"), ([0.0, 1.0, np.inf], "inf"),
+    ], ids=["nan", "inf"])
+    def test_finite_abscissa_required(self, xs, bad):
+        # Both were accepted: a comparison with NaN is False, and inf
+        # keeps the abscissa increasing.
+        with pytest.raises(ValueError,
+                           match=f"^abscissa values must be finite, got {bad}$"):
+            Curve("x", xs, [1.0, 2.0, 3.0])
+
     def test_accessors(self):
         curve = Curve("x", [0.0, 1.0, 2.5], [1.0, 2.0, -1.0])
         assert len(curve) == 3

@@ -22,38 +22,21 @@ import numpy as np
 import pytest
 
 from lambdaloop import (
-    AtomParams,
-    DriveConfig,
     WeakProbeWarning,
     bare_transition_transmission,
     hz_to_angular,
-    input_fields,
     preset_atom,
     preset_drive,
     refractive_spectrum,
     sideband_transfer,
-    time_evolve,
     transmission,
     weak_probe_response,
 )
-from lambdaloop.liouvillian import circular_template
 
 DATA = Path(__file__).parent / "data" / "equivalence.json"
 RTOL = 1e-12
 
-# The soft fixture of conftest.py: rates compressed so explicit RK4 is cheap.
-SOFT_ATOM = AtomParams.from_hz(2e3, 40.0, 60.0, 1.5e3, 0.1, 0.075)
-SOFT_DRIVE = DriveConfig.from_hz(30.0, 1.1, 300.0, 80.0)
-UNPOLARIZED = np.diag([0, 0, 0.5, 0.5]).astype(complex)
 PRESETS = ("fig3-cold", "fig4-warm")
-
-
-def _time_evolve_soft():
-    gen = circular_template(SOFT_ATOM).generator(
-        SOFT_DRIVE.delta_b, *input_fields(SOFT_DRIVE)
-    )
-    # 200 full steps plus a shortened last one.
-    return time_evolve(UNPOLARIZED, gen, 0.02005, 1e-4)
 
 
 def _transmission(name):
@@ -113,7 +96,6 @@ def _refractive_spectrum_warm_field():
 
 
 CASES = {
-    "time_evolve_soft": _time_evolve_soft,
     **{f"transmission_{name}_64": (lambda n=name: _transmission(n))
        for name in PRESETS},
     "sideband_transfer_warm_32": lambda: _sideband_transfer("fig4-warm"),
@@ -163,6 +145,11 @@ def test_matches_pinned(name, pinned):
         f"{name}: max deviation {worst:.3e} against scale "
         f"{np.max(np.abs(expected)):.3e}"
     )
+
+
+def test_pins_and_cases_agree(pinned):
+    # A deleted case takes its pin with it; no pin sits unchecked.
+    assert pinned.keys() == CASES.keys()
 
 
 def test_record_appends_only_missing_cases(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from lambdaloop import (
     SteadyStateError,
     bare_transition_transmission,
     calibrate_kappa,
+    hz_to_angular,
     input_fields,
     preset_atom,
     preset_drive,
@@ -65,19 +68,18 @@ class TestKappaCalibration:
 
 class TestProbePower:
     def test_equal_fields_zero_probe(self):
-        power, _ = probe_power(np.array([0.3 + 0.1j, 0.3 + 0.1j]))
+        power = probe_power(np.array([0.3 + 0.1j, 0.3 + 0.1j]))
         assert power == pytest.approx(0.0, abs=1e-15)
 
     def test_pure_probe(self):
         s = 1 / np.sqrt(2)
-        power, theta = probe_power(np.array([s, -s]))
+        power = probe_power(np.array([s, -s]))
         assert power == pytest.approx(1.0, rel=1e-12)
-        assert abs(theta) == pytest.approx(np.pi)
 
     def test_interference_identity(self, rng):
         for _ in range(30):
             fields = rng.normal(size=2) + 1j * rng.normal(size=2)
-            power, _ = probe_power(fields)
+            power = probe_power(fields)
             assert power == pytest.approx(
                 abs(to_linear(fields)[1]) ** 2, rel=1e-12, abs=1e-15
             )
@@ -100,6 +102,32 @@ def test_field_derivative_is_the_propagation_equations(rng):
                 got = propagation.field_derivative(kappa, r)
                 assert got.shape == (2,)
                 assert (got == expected).all()
+
+
+@pytest.mark.parametrize("preset", ["fig3-cold", "fig4-warm"])
+def test_every_stage_loses_photons_to_decay(preset, rng):
+    # Photon-number balance at a steady state: d(|O1|^2 + |O2|^2)/dz =
+    # -kappa gamma_e (rho_11 + rho_22).  The fields' total power falls at
+    # every stage, so a transmission above 1 is power taken from the
+    # control, never power made by the medium.
+    atom, base = preset_atom(preset), preset_drive(preset)
+    kappa = calibrate_kappa(atom)
+    template = circular_template(atom)
+    for _ in range(200):
+        scale = rng.uniform(0.3, 1.5)
+        drive = DriveConfig(
+            hz_to_angular(rng.uniform(-400.0, 400.0)),
+            rng.uniform(0.0, 2.0 * np.pi),
+            scale * base.omega_c,
+            scale * base.omega_c * rng.uniform(0.05, 1.0),
+        )
+        fields = input_fields(drive)
+        rho = steady_state_matrix(template.generator(drive.delta_b, *fields))
+        gained = 2.0 * np.vdot(
+            fields, propagation.field_derivative(kappa, rho)).real
+        decayed = kappa * atom.gamma_e * (rho[0, 0] + rho[1, 1]).real
+        assert decayed > 0.0
+        assert gained == pytest.approx(-decayed, rel=1e-13, abs=0.0)
 
 
 class TestPropagate:
@@ -312,16 +340,17 @@ def _bare_transition(atom, _drive, n_steps):
     return bare_transition_transmission(atom, n_steps=n_steps)
 
 
-@pytest.mark.parametrize(
+EVERY_MARCH = pytest.mark.parametrize(
     "march", [_propagate, _sideband_transfer, _pulse_response,
               _bare_transition],
     ids=["propagate", "sideband_transfer", "pulse_response",
          "bare_transition_transmission"],
 )
-@pytest.mark.parametrize("n_steps", [-4, 0, 8, 15])
-@pytest.mark.parametrize("preset", ["fig3-cold", "fig4-warm", "free-space"])
-def test_every_march_rejects_a_coarse_grid(monkeypatch, march, n_steps,
-                                           preset):
+EVERY_CELL = pytest.mark.parametrize(
+    "preset", ["fig3-cold", "fig4-warm", "free-space"])
+
+
+def _rejected_before_any_work(monkeypatch, march, n_steps, preset, message):
     # The check runs before any work, so a free-space cell, which solves
     # nothing, is rejected too; the stubs fail any march that starts.
     def started(*args, **kwargs):
@@ -334,8 +363,33 @@ def test_every_march_rejects_a_coarse_grid(monkeypatch, march, n_steps,
     if preset == "free-space":
         atom = free_space(atom)
     drive = preset_drive("fig3-cold")
-    with pytest.raises(ValueError, match="^n_steps must be at least 16$"):
+    with pytest.raises(ValueError, match=message):
         march(atom, drive, n_steps)
+
+
+@EVERY_MARCH
+@pytest.mark.parametrize("n_steps", [-4, 0, 8, 15])
+@EVERY_CELL
+def test_every_march_rejects_a_coarse_grid(monkeypatch, march, n_steps,
+                                           preset):
+    _rejected_before_any_work(monkeypatch, march, n_steps, preset,
+                              "^n_steps must be at least 16$")
+
+
+@EVERY_MARCH
+@pytest.mark.parametrize("n_steps", [20.0, 16.5])
+@EVERY_CELL
+def test_every_march_rejects_a_non_integer_grid(monkeypatch, march, n_steps,
+                                                preset):
+    # 20.0 used to pass the count check and fail in range() or np.tile.
+    _rejected_before_any_work(
+        monkeypatch, march, n_steps, preset,
+        f"^n_steps must be an integer, got {re.escape(repr(n_steps))}$")
+
+
+def test_numpy_integer_grid_accepted(cold_atom, cold_drive):
+    assert transmission(cold_atom, cold_drive, np.int64(16)) == transmission(
+        cold_atom, cold_drive, 16)
 
 
 class TestFailurePaths:

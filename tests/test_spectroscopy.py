@@ -531,8 +531,7 @@ class TestSidebandConjugationSymmetry:
                                  *input_fields(warm_drive))
         vec = steady_state_matrix(gen).reshape(-1)
         e1, e2, m1c, m2c = rng.normal(size=4) + 1j * rng.normal(size=4)
-        up1, dn1 = template.drive_a, template.drive_a_conj
-        up2, dn2 = template.drive_b, template.drive_b_conj
+        up1, dn1, up2, dn2 = template.basis[2:]
         seed_low = (e1 * up1 + e2 * up2 + np.conj(m1c) * dn1
                     + np.conj(m2c) * dn2) @ vec
         seed_high = (np.conj(m1c) * up1 + np.conj(m2c) * up2 + e1 * dn1

@@ -187,8 +187,12 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {rho.shape}")
     adjoint = rho.conj().T
-    herm = np.abs(rho - adjoint).max()
-    # A non-finite entry makes herm inf or NaN, so it lands here.
+    skew = rho - adjoint
+    # A NaN is true in skew.any(), and an infinite entry makes its skew
+    # entry inf or NaN, so a non-finite rho always reaches the max and
+    # fails below.  An exactly Hermitian rho, as every steady state is,
+    # skips that pass.
+    herm = np.abs(skew).max() if skew.any() else 0.0
     if not herm <= HERMITICITY_TOL:
         if not np.isfinite(rho).all():
             raise ValueError("matrix has non-finite entries")
@@ -207,6 +211,21 @@ def validate_density_matrix(rho: np.ndarray) -> None:
         raise ValueError(f"negative eigenvalue {eigs[0]:.3e} below floor")
 
 
+def check_grid(xs: np.ndarray, name: str) -> None:
+    """Raise ValueError unless the 1-D float array xs is non-empty,
+    finite and strictly increasing; name labels xs in the message."""
+    if not len(xs):
+        raise ValueError(f"{name} must be non-empty: at least one point "
+                         "is required")
+    finite = np.isfinite(xs)
+    if not finite.all():
+        raise ValueError(f"{name} values must be finite, got "
+                         f"{float(xs[~finite][0])!r}")
+    # Checked after finiteness: every comparison with NaN is false.
+    if np.any(xs[1:] <= xs[:-1]):
+        raise ValueError(f"{name} values must be strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class Curve:
     """Sampled 1-D result: abscissa label plus the xs and ys arrays."""
@@ -220,13 +239,7 @@ class Curve:
         ys = np.asarray(self.ys)
         if xs.ndim != 1 or ys.shape != xs.shape:
             raise ValueError("xs and ys must be 1-D of equal length")
-        if not np.isfinite(xs).all():
-            raise ValueError("abscissa values must be finite, got "
-                             f"{float(xs[~np.isfinite(xs)][0])!r}")
-        if np.any(xs[1:] <= xs[:-1]):
-            raise ValueError("abscissa values must be strictly increasing")
-        if not len(xs):
-            raise ValueError("curve must contain at least one point")
+        check_grid(xs, "abscissa")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 

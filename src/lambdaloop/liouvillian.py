@@ -62,6 +62,11 @@ COUPLING_FIELD2 = _op(1, 3) - _op(0, 3)          # |2><4| - |1><4|
 ZEEMAN_CIRCULAR = 0.5 * (_op(2, 2) - _op(3, 3))
 UPPER_PROJECTOR = _op(0, 0)
 
+# Right-hand side of the trace-replaced system per unit trace-row scale.
+TRACE_RHS = np.zeros(DIM * DIM, dtype=complex)
+TRACE_RHS[0] = 1.0
+TRACE_RHS.flags.writeable = False
+
 # Complex LU factor-and-solve and back-substitution, bound once.
 _gesv, _getrs = get_lapack_funcs(
     ("gesv", "getrs"), (np.empty((1, 1), dtype=complex),)
@@ -160,8 +165,15 @@ def refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lu, piv, x, info = _gesv(a, b)
     if info > 0:
         raise np.linalg.LinAlgError("Singular matrix")
-    x += _getrs(lu, piv, b - a @ x)[0]
+    x += _getrs(lu, piv, b - a.dot(x))[0]
     return x
+
+
+def generator_norm(generator: np.ndarray) -> float:
+    """Frobenius norm of a generator in one pass: inf when the sum of
+    squared magnitudes overflows, and NaN or inf when an entry is not
+    finite."""
+    return math.sqrt(np.vdot(generator, generator).real)
 
 
 def replace_trace_row(a: np.ndarray, scale: float) -> np.ndarray:
@@ -169,8 +181,9 @@ def replace_trace_row(a: np.ndarray, scale: float) -> np.ndarray:
     functional of a row-major vectorized state, in place.
 
     The replaced equation pins the trace of the solution, which singles
-    out one solution of a system whose kernel is the generator's; scale
-    keeps the row on the order of the other rows.  Returns a.
+    out one solution of a system whose kernel is the generator's.  Every
+    caller passes the generator's Frobenius norm (generator_norm) as
+    scale, which keeps the row on the order of the other rows.  Returns a.
     """
     a[0] = 0.0
     a[0, ::DIM + 1] = scale
@@ -189,46 +202,57 @@ def _unsolved(generator: np.ndarray, message: str) -> SteadyStateError:
     return SteadyStateError(message)
 
 
+def _unscalable(generator: np.ndarray, norm: float) -> SteadyStateError:
+    """The error for a generator whose Frobenius norm is not finite and
+    positive: a non-finite entry, a zero generator, or, for finite
+    nonzero entries, a norm that overflows or underflows."""
+    if not np.isfinite(generator).all():
+        return SteadyStateError("generator has non-finite entries")
+    if not generator.any():
+        return SteadyStateError("zero generator has no unique steady state")
+    return SteadyStateError(
+        f"generator norm {'overflows' if norm else 'underflows'} although "
+        "every entry is finite"
+    )
+
+
 def steady_state_matrix(generator: np.ndarray, *,
                         record: dict | None = None) -> np.ndarray:
     """Unique unit-trace kernel element of the generator as a 4x4 matrix.
 
-    One row of the generator is replaced by the trace constraint and the
-    resulting dense system solved by LU with one step of iterative
-    refinement.  The residual of the *original* equations is always
-    checked.  With a record, the checked relative residual
+    One row of the generator is replaced by the trace constraint, scaled
+    by the generator's Frobenius norm, and the resulting dense system
+    solved by LU with one step of iterative refinement.  That one norm,
+    taken in one pass, is also the reference of the residual check: the
+    residual of the *original* equations must satisfy
+    ||generator x|| <= STEADY_RESIDUAL_TOL * ||generator||_F, which a
+    NaN residual fails.  With a record, the checked relative residual
     ||generator x|| / ||generator||_F of the refined solution x is folded
     into record["max_steady_residual"] as a running max.
     """
-    magnitude = np.abs(generator)
-    scale = magnitude.max()
-    if not math.isfinite(scale):
-        raise SteadyStateError("generator has non-finite entries")
-    if scale == 0.0:
-        raise SteadyStateError("zero generator has no unique steady state")
-    a = replace_trace_row(generator.copy(), scale)
-    b = np.zeros(DIM * DIM, dtype=complex)
-    b[0] = scale
+    norm = generator_norm(generator)
+    if not 0.0 < norm < math.inf:
+        raise _unscalable(generator, norm)
+    a = replace_trace_row(generator.copy(), norm)
     try:
-        vec = refined_solve(a, b)
+        vec = refined_solve(a, TRACE_RHS * norm)
     except np.linalg.LinAlgError as exc:
         raise _unsolved(
             generator, f"steady-state solve failed: {exc}"
         ) from exc
 
-    gen_norm = math.sqrt(np.vdot(magnitude, magnitude))
-    r = generator @ vec
+    r = generator.dot(vec)
     residual = math.sqrt(np.vdot(r, r).real)
-    if not math.isfinite(residual) or residual > STEADY_RESIDUAL_TOL * gen_norm:
+    if not residual <= STEADY_RESIDUAL_TOL * norm:
         raise _unsolved(
             generator,
             f"steady-state residual {residual:.3e} exceeds "
             f"{STEADY_RESIDUAL_TOL:.0e} * ||generator|| = "
-            f"{STEADY_RESIDUAL_TOL * gen_norm:.3e}",
+            f"{STEADY_RESIDUAL_TOL * norm:.3e}",
         )
     if record is not None:
         record["max_steady_residual"] = max(
-            record.get("max_steady_residual", 0.0), residual / gen_norm
+            record.get("max_steady_residual", 0.0), residual / norm
         )
 
     # Twice the Hermitian part, divided by its trace: the factor 2 is a

@@ -69,6 +69,7 @@ from .core import (
     DriveConfig,
     TWO_PI,
     _require_finite,
+    check_grid,
     hz_to_angular,
     input_fields,
     to_circular,
@@ -77,6 +78,7 @@ from .core import (
 from .liouvillian import (
     SteadyStateError,
     circular_template,
+    generator_norm,
     refined_solve,
     replace_trace_row,
     steady_state_matrix,
@@ -119,13 +121,7 @@ def _checked_grid(grid) -> tuple:
     """The sweep grid as floats; it must be non-empty, finite and strictly
     increasing.  Runs before anything is solved."""
     grid = tuple(float(x) for x in grid)
-    if not grid:
-        raise ValueError("sweep grid must be non-empty")
-    bad = next((x for x in grid if not math.isfinite(x)), None)
-    if bad is not None:
-        raise ValueError(f"sweep grid values must be finite, got {bad!r}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("sweep grid must be strictly increasing")
+    check_grid(np.array(grid), "sweep grid")
     return grid
 
 
@@ -173,7 +169,7 @@ def _solve_sideband(gen, delta_angular, seed):
     """
     a = _detuning_shift(delta_angular) - gen
     if delta_angular == 0.0:
-        replace_trace_row(a, np.max(np.abs(gen)))
+        replace_trace_row(a, generator_norm(gen))
         seed = seed.copy()
         seed[0] = 0.0
     try:

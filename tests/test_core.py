@@ -193,6 +193,26 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="non-finite"):
             validate_density_matrix(bad)
 
+    def test_hermiticity_tolerance_is_inclusive(self):
+        # rho[0, 1] - conj(rho[1, 0]) is exactly the asymmetry.
+        rho = np.diag([0, 0, 0.5, 0.5]).astype(complex)
+        rho[0, 1] = 1e-12
+        validate_density_matrix(rho)
+        rho[0, 1] = 2e-12
+        with pytest.raises(ValueError, match=(
+                "^matrix is not Hermitian: max asymmetry 2.000e-12$")):
+            validate_density_matrix(rho)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_hermitian_pair_rejected(self, value):
+        # The pair is exactly Hermitian in value, so only the non-finite
+        # skew (NaN - NaN or inf - inf) can send it to the error.
+        bad = np.diag([0, 0, 0.5, 0.5]).astype(complex)
+        bad[0, 1] = bad[1, 0] = value
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            validate_density_matrix(bad)
+
     def test_exactly_hermitian_state_skips_symmetrising(self, monkeypatch):
         # The solver sees the Hermitian part 0.5 * (rho + rho^H); an
         # exactly Hermitian rho is its own Hermitian part and goes as it

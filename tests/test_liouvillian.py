@@ -276,6 +276,23 @@ class TestSteadyState:
                                match="generator has non-finite entries"):
                 steady_state_matrix(gen)
 
+    @pytest.mark.parametrize("size, message", [
+        (1e200, "generator norm overflows although every entry is finite"),
+        (1e-170, "generator norm underflows although every entry is finite"),
+    ], ids=["overflow", "underflow"])
+    def test_unrepresentable_norm_rejected(self, cold_atom, cold_drive,
+                                           size, message):
+        # Finite nonzero entries whose squared magnitudes sum past the
+        # float range, or below its smallest subnormal: the norm that
+        # scales the trace row is inf or 0, and the error says so rather
+        # than blaming the entries.
+        gen = circular_generator(cold_atom, cold_drive)
+        gen *= size / np.abs(gen).max()
+        assert np.isfinite(gen).all() and gen.any()
+        with pytest.raises(SteadyStateError) as err:
+            steady_state_matrix(gen)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("gen, message", [
         (np.zeros((16, 16), dtype=complex),
          "zero generator has no unique steady state"),

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -226,8 +227,9 @@ class TestTransmission:
 
 def kernel_residual(gen):
     """The relative residual steady_state_matrix checks, recomputed: the
-    trace-replaced, refined solve of gen, taken before Hermitisation."""
-    scale = np.abs(gen).max()
+    trace-replaced, refined solve of gen, taken before Hermitisation,
+    with the trace row scaled by the Frobenius norm of gen."""
+    scale = math.sqrt(np.vdot(gen, gen).real)
     a = gen.copy()
     a[0] = 0.0
     a[0, ::5] = scale

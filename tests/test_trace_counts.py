@@ -20,6 +20,7 @@ from lambdaloop.core import TWO_PI
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 SSM = "liouvillian.steady_state_matrix"
+VALIDATE = "core.validate_density_matrix"
 TRANSMISSION = "propagation.transmission"
 TRANSFER = "spectroscopy.sideband_transfer"
 EXPM = "spectroscopy.expm"
@@ -51,6 +52,20 @@ def test_carrier_solves_per_march_and_per_bin(tracer, cold_atom, cold_drive):
     assert tracer.edges[TRANSMISSION, SSM] == 64
     assert tracer.stats[TRANSFER].units == 2
     assert tracer.edges[TRANSFER, SSM] == 64 * 2
+
+
+@pytest.mark.parametrize("solve", [
+    lambda atom, drive: lambdaloop.propagation.transmission(atom, drive, 16),
+    lambda atom, drive: lambdaloop.spectroscopy.sideband_transfer(
+        atom, drive, [5.0], 16),
+], ids=["transmission", "sideband_transfer"])
+def test_one_validation_per_steady_solve(tracer, cold_atom, cold_drive, solve):
+    # Every steady state is validated once, inside the solve that made it.
+    solve(cold_atom, cold_drive)
+    solves = tracer.stats[SSM].calls
+    assert solves == 4 * 16
+    assert tracer.edges[SSM, VALIDATE] == solves
+    assert tracer.stats[VALIDATE].calls == solves
 
 
 def test_readme_pulse_counts(tracer, tmp_path, monkeypatch):

@@ -180,18 +180,6 @@ def parse_config(text: str) -> RunConfig:
     return _resolve(_parse_lines(text))
 
 
-def emit_config(config: RunConfig) -> str:
-    """Render a RunConfig as a parseable key = value document."""
-    out = []
-    for key in sorted(config.raw):
-        value = config.raw[key]
-        if isinstance(value, float):
-            out.append(f"{key} = {value:.17g}")
-        else:
-            out.append(f"{key} = {value}")
-    return "\n".join(out) + "\n"
-
-
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 

@@ -18,6 +18,7 @@ Omega_p = |Omega_p| * exp(i*phi), with the control real and positive.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, fields as dataclass_fields
 
@@ -54,6 +55,15 @@ def _require_finite(config) -> None:
         value = getattr(config, f.name)
         if not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
+def _require_int(name: str, value) -> int:
+    """value as an int, numpy integers included; any other value, 20.0
+    among them, raises ValueError naming name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

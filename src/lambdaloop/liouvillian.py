@@ -32,7 +32,6 @@ from .core import (
 )
 
 DIM = 4
-I4 = np.eye(DIM)
 
 #: Relative residual allowed on generator * vec(rho) after the solve.
 STEADY_RESIDUAL_TOL = 1e-8
@@ -74,17 +73,19 @@ _gesv, _getrs = get_lapack_funcs(
 
 
 def commutator_superop(op: np.ndarray) -> np.ndarray:
-    """Superoperator for -i[op, .] acting on row-major vec(rho)."""
-    return -1j * (np.kron(op, I4) - np.kron(I4, op.T))
+    """Superoperator for -i[op, .] on row-major vec(rho), op of any size."""
+    eye = np.eye(len(op))
+    return -1j * (np.kron(op, eye) - np.kron(eye, op.T))
 
 
 def dissipator_superop(jump_ops) -> np.ndarray:
-    """Lindblad dissipator superoperator for a list of jump operators."""
-    total = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
+    """Lindblad dissipator superoperator for jump operators of one size."""
+    eye = np.eye(len(jump_ops[0]))
+    total = np.zeros((eye.size, eye.size), dtype=complex)
     for L in jump_ops:
         ldl = L.conj().T @ L
         total += np.kron(L, L.conj())
-        total -= 0.5 * (np.kron(ldl, I4) + np.kron(I4, ldl.T))
+        total -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
     return total
 
 
@@ -267,18 +268,6 @@ def steady_state_matrix(generator: np.ndarray, *,
     except ValueError as exc:
         raise SteadyStateError(f"steady state is unphysical: {exc}") from exc
     return rho
-
-
-def rk4_step(rhs, y, t: float, h: float):
-    """One classical RK4 step of dy/dt = rhs(y, t) from t to t + h.
-
-    Plain arithmetic only, so y may be a Python complex or a complex array.
-    """
-    k1 = rhs(y, t)
-    k2 = rhs(y + 0.5 * h * k1, t + 0.5 * h)
-    k3 = rhs(y + 0.5 * h * k2, t + 0.5 * h)
-    k4 = rhs(y + h * k3, t + h)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def evolve_expm(rho0: np.ndarray, generator: np.ndarray,

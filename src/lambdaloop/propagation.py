@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import warnings
 
 import numpy as np
@@ -28,6 +27,7 @@ from .core import (
     AtomParams,
     DriveConfig,
     SimulationError,
+    _require_int,
     input_fields,
     to_linear,
 )
@@ -36,7 +36,8 @@ from .liouvillian import (
     COUPLING_FIELD2,
     SteadyStateError,
     circular_template,
-    rk4_step,
+    commutator_superop,
+    dissipator_superop,
     steady_state_matrix,
 )
 
@@ -122,25 +123,27 @@ def check_steps(n_steps: int) -> None:
     """Reject a z grid that is not an integer count of at least MIN_STEPS
     steps; every march calls this before it does any work, whatever the
     optical depth."""
-    try:
-        operator.index(n_steps)
-    except TypeError:
-        raise ValueError(
-            f"n_steps must be an integer, got {n_steps!r}") from None
-    if n_steps < MIN_STEPS:
+    if _require_int("n_steps", n_steps) < MIN_STEPS:
         raise ValueError(f"n_steps must be at least {MIN_STEPS}")
 
 
 def z_march(rhs, state, length, n_steps):
-    """Classical RK4 over z in [0, length]; the state at every z.
+    """Classical RK4 of dstate/dz = rhs(state, z) over z in [0, length].
 
-    Returns an (n_steps + 1, len(state)) array.  A non-finite state
-    raises PropagationError naming the z it was reached at.
+    Plain arithmetic only, so the state may be a Python complex or a
+    complex array.  Returns the state at every z, an (n_steps + 1,
+    len(state)) array.  A non-finite state raises PropagationError naming
+    the z it was reached at.
     """
     h = length / n_steps
     profile = [state]
     for k in range(n_steps):
-        state = rk4_step(rhs, state, k * h, h)
+        z = k * h
+        k1 = rhs(state, z)
+        k2 = rhs(state + 0.5 * h * k1, z + 0.5 * h)
+        k3 = rhs(state + 0.5 * h * k2, z + 0.5 * h)
+        k4 = rhs(state + h * k3, z + h)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(state).all():
             raise PropagationError(f"field diverged at z = {(k + 1) * h:.6g} m")
         profile.append(state)
@@ -204,18 +207,24 @@ def transmission(params: AtomParams, drive: DriveConfig, n_steps: int = 256,
     """Probe intensity transmission, output power over input power.
 
     Values above 1 are physical: the closed-loop medium can pump power
-    from the control into the probe.
+    from the control into the probe.  A probe so weak that its power
+    reads back from the circular input pair as 0 raises ValueError before
+    anything is solved.
     """
     if drive.omega_p <= 0.0:
         raise ValueError("transmission requires a nonzero probe amplitude")
     fields_in = input_fields(drive)
+    p_in = probe_power(fields_in)
+    if not p_in > 0.0:
+        raise ValueError(
+            f"omega_p = {drive.omega_p!r} rad/s is below the resolution of "
+            "the circular pair: its probe power reads back as 0"
+        )
     profile = propagate(
         fields_in, params, drive, n_steps,
         verify_refinement=verify_refinement, record=record,
     )
-    p_in = probe_power(fields_in)
-    p_out = probe_power(profile[-1])
-    return p_out / p_in if p_in > 0.0 else 0.0
+    return probe_power(profile[-1]) / p_in
 
 
 def bare_transition_transmission(params: AtomParams,
@@ -227,7 +236,8 @@ def bare_transition_transmission(params: AtomParams,
     medium (full population in the ground state, decay gamma_e back to
     it) using the calibrated kappa.  The returned intensity transmission
     must equal exp(-OD); this is the oracle pinning the sign and the
-    factor in calibrate_kappa.
+    factor in calibrate_kappa.  It shares only the superoperator formulas
+    with the four-level model and makes its own trace-row solves.
     """
     check_steps(n_steps)
     gamma = params.gamma_e
@@ -237,19 +247,14 @@ def bare_transition_transmission(params: AtomParams,
         raise ValueError(
             f"omega_probe must be finite and nonzero, got {omega_probe!r}")
     kappa = calibrate_kappa(params)
-    eye2 = np.eye(2)
     jump = np.array([[0.0, 0.0], [math.sqrt(gamma), 0.0]], dtype=complex)
-    ldl = jump.conj().T @ jump
-    diss = (
-        np.kron(jump, jump.conj())
-        - 0.5 * (np.kron(ldl, eye2) + np.kron(eye2, ldl.T))
-    )
+    diss = dissipator_superop([jump])
     # -i[H, .] with H = amp |0><1| + conj(amp) |1><0|, one piece per
     # amplitude, so each stage only scales and sums them.
     raise_op = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    comm_amp = -1j * (np.kron(raise_op, eye2) - np.kron(eye2, raise_op.T))
-    comm_conj = -1j * (np.kron(raise_op.T, eye2) - np.kron(eye2, raise_op))
-    trace_row = eye2.reshape(-1)
+    comm_amp = commutator_superop(raise_op)
+    comm_conj = commutator_superop(raise_op.T)
+    trace_row = np.eye(2).reshape(-1)
     unit_trace = np.zeros(4, dtype=complex)
     unit_trace[0] = 1.0
 

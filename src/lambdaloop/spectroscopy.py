@@ -69,6 +69,7 @@ from .core import (
     DriveConfig,
     TWO_PI,
     _require_finite,
+    _require_int,
     check_grid,
     hz_to_angular,
     input_fields,
@@ -326,33 +327,6 @@ def group_velocity_class(spectrum: Curve, window_hz: float = 10.0) -> SlopeFit:
                     stderr_per_hz=stderr)
 
 
-def _chi_timedomain_once(gen0, rho_start, eta, delta, up, dn, periods,
-                         steps_per_period, settle_time):
-    period = TWO_PI / abs(delta)
-    dt = period / steps_per_period
-    settle_steps = int(math.ceil(settle_time / dt))
-
-    def step(rho, t_mid):
-        gen = gen0 + eta * (
-            np.exp(-1j * delta * t_mid) * up
-            + np.exp(1j * delta * t_mid) * dn
-        )
-        return expm(gen * dt) @ rho
-
-    rho = rho_start
-    t = 0.0
-    for _ in range(settle_steps):
-        rho = step(rho, t + 0.5 * dt)
-        t += dt
-    n = periods * steps_per_period
-    acc = 0.0 + 0.0j
-    for _ in range(n):
-        rho = step(rho, t + 0.5 * dt)
-        t += dt
-        acc += (_PROBE_ROW @ rho) * np.exp(1j * delta * t)
-    return acc / n
-
-
 def chi_probe_timedomain(params: AtomParams, drive: DriveConfig,
                          delta_hz: float, *, sideband_fraction: float = 0.02,
                          periods: int = 2,
@@ -366,27 +340,47 @@ def chi_probe_timedomain(params: AtomParams, drive: DriveConfig,
     periods.  The frozen-phase staircase leaves an error linear in the
     step size, removed by one Richardson extrapolation (run at n and 2n
     steps per period).  Independent of the harmonic-balance linear
-    solve.
+    solve.  periods and steps_per_period must be positive integers and
+    sideband_fraction finite and positive; a bad argument raises
+    ValueError naming it before anything is solved.
     """
     if not math.isfinite(delta_hz):
         raise ValueError(f"delta_hz must be finite, got {delta_hz!r}")
     if delta_hz == 0.0:
         raise ValueError("the lock-in oracle needs a nonzero detuning")
+    for name, value in (("periods", periods),
+                        ("steps_per_period", steps_per_period)):
+        if _require_int(name, value) <= 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+    if not (math.isfinite(sideband_fraction) and sideband_fraction > 0.0):
+        raise ValueError("sideband_fraction must be finite and positive, "
+                         f"got {sideband_fraction!r}")
     delta = hz_to_angular(delta_hz)
     gen0, rho_start, up, dn = _operating_point(params, drive)
     eta = sideband_fraction * (drive.omega_p or drive.omega_c)
     settle_time = 10.0 / min(params.gamma_pop, params.gamma_coh)
 
-    coarse = _chi_timedomain_once(
-        gen0, rho_start, eta, delta, up, dn, periods, steps_per_period,
-        settle_time,
-    )
-    fine = _chi_timedomain_once(
-        gen0, rho_start, eta, delta, up, dn, periods, 2 * steps_per_period,
-        settle_time,
-    )
-    extrapolated = 2.0 * fine - coarse
-    return CHI_SIGN * extrapolated / eta
+    legs = []
+    for steps in (steps_per_period, 2 * steps_per_period):
+        dt = TWO_PI / abs(delta) / steps
+        settle_steps = int(math.ceil(settle_time / dt))
+        n = periods * steps
+        rho = rho_start
+        t = 0.0
+        acc = 0.0 + 0.0j
+        for k in range(settle_steps + n):
+            t_mid = t + 0.5 * dt
+            gen = gen0 + eta * (
+                np.exp(-1j * delta * t_mid) * up
+                + np.exp(1j * delta * t_mid) * dn
+            )
+            rho = expm(gen * dt) @ rho
+            t += dt
+            if k >= settle_steps:
+                acc += (_PROBE_ROW @ rho) * np.exp(1j * delta * t)
+        legs.append(acc / n)
+    coarse, fine = legs
+    return CHI_SIGN * (2.0 * fine - coarse) / eta
 
 
 def sideband_transfer(params: AtomParams, drive: DriveConfig,
@@ -477,7 +471,7 @@ class PulseSpec:
             raise ValueError("fwhm must be positive")
         if window < 8.0 * self.fwhm:
             raise ValueError("time_window must be at least 8 * fwhm")
-        n = self.n_samples
+        n = _require_int("n_samples", self.n_samples)
         if n < 256 or (n & (n - 1)) != 0:
             raise ValueError("n_samples must be a power of two, >= 256")
         nyquist_hz = 0.5 * n / window

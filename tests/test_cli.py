@@ -15,7 +15,6 @@ from lambdaloop.cli import (
     PULSE_KEYS,
     ConfigError,
     build_arg_parser,
-    emit_config,
     main,
     parse_config,
     run,
@@ -172,18 +171,6 @@ def test_explicit_keys_override_preset():
     assert cfg.drive.omega_p == pytest.approx(2 * np.pi * 1234.0)
 
 
-def test_emit_parse_round_trip():
-    cfg = parse_config(
-        "mode = sweep-phase\npreset = fig4-warm\nsweep_start = 0\n"
-        "sweep_stop = 6.283185307179586\npoints = 8\nsteps = 32\n"
-        "delta_b_hz = 40\nout = roundtrip\n"
-    )
-    again = parse_config(emit_config(cfg))
-    assert again.raw == cfg.raw
-    assert again.atom == cfg.atom
-    assert again.drive == cfg.drive
-
-
 def test_transmit_free_space_unity(tmp_path):
     out = tmp_path / "free"
     text = COLD_TRANSMIT.format(out=out) + "od = 0\n"
@@ -311,6 +298,21 @@ def test_main_reports_pulse_bandwidth_line(tmp_path, capsys, grid, line,
         f"error: line {line}: invalid pulse parameters: n_samples over "
         f"time_window only resolves +/-{nyquist} Hz but the pulse "
         "bandwidth, |carrier_detuning| / 2pi + 2.3 / fwhm, needs +/-460 Hz\n")
+
+
+@pytest.mark.parametrize("omega_p_hz", ["1e-12", "1e-13"])
+def test_main_rejects_unresolved_probe(tmp_path, monkeypatch, capsys,
+                                       omega_p_hz):
+    # The probe power of the circular input pair cancels to 0 here; the
+    # run used to write a transmission of 0.0.
+    monkeypatch.chdir(tmp_path)
+    code = main(["transmit", "--preset", "fig3-cold", "--omega-p-hz",
+                 omega_p_hz, "--steps", "16", "--out", "weak"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: omega_p = ")
+    assert "below the resolution of the circular pair" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_solver_failure_exits_one(tmp_path, monkeypatch, capsys):

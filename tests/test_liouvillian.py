@@ -102,6 +102,21 @@ class TestGenerator:
             top = np.eye(4).reshape(-1) @ gen
             assert np.max(np.abs(top)) < 1e-12 * np.max(np.abs(gen))
 
+    def test_builders_take_the_size_of_their_operators(self):
+        # The two-level pieces of the Beer-Lambert oracle: the trace
+        # functional vec(I2) annihilates each, and the dissipator decays
+        # the upper level |0><0| into |1><1| at the jump rate.
+        raise_op = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        jump = 3.0 * raise_op.T
+        pieces = (commutator_superop(raise_op),
+                  commutator_superop(raise_op.T), dissipator_superop([jump]))
+        trace = np.eye(2).reshape(-1)
+        for piece in pieces:
+            assert piece.shape == (4, 4)
+            assert not (trace @ piece).any()
+        assert np.array_equal(pieces[2] @ np.diag([1.0, 0.0]).reshape(-1),
+                              [-9.0, 0.0, 0.0, 9.0])
+
     def test_zero_drive_annihilates_unpolarized(self, cold_atom):
         gen = circular_generator(cold_atom, DriveConfig(0, 0, 0, 0))
         assert np.max(np.abs(gen @ UNPOLARIZED.reshape(-1))) < 1e-9

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +158,28 @@ class TestPropagate:
                          verify_refinement=True, record=record)
         assert record["refinement_delta"] < 1e-6
 
+    def test_z_march_is_fourth_order(self, warm_atom, warm_drive):
+        # The n -> 2n refinement delta of classical RK4 falls by 2^4 = 16
+        # per doubling (measured 15.5 and 15.8 on the warm preset); a
+        # wrong stage weight in z_march lowers the order and fails the
+        # ratio.  The deltas were 2.09e-4, 1.35e-5 and 8.5e-7, so 16 and
+        # 32 steps warn and 64 steps does not.
+        deltas = []
+        for n_steps in (16, 32, 64):
+            record = {}
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                transmission(warm_atom, warm_drive, n_steps,
+                             verify_refinement=True, record=record)
+            warned = [w for w in caught
+                      if w.category is propagation.RefinementWarning]
+            assert len(warned) == (n_steps < 64), n_steps
+            assert (record["refinement_delta"]
+                    > propagation.REFINEMENT_TOL) == (n_steps < 64)
+            deltas.append(record["refinement_delta"])
+        for coarse, fine in zip(deltas, deltas[1:]):
+            assert 12.0 <= coarse / fine <= 20.0
+
     def test_total_power_never_amplified(self, warm_atom, cold_atom, rng):
         # Both excited states are decay-only, so the two-beam total power
         # cannot grow through the cell.
@@ -177,6 +201,25 @@ class TestTransmission:
     def test_requires_probe(self, cold_atom):
         drive = DriveConfig.from_hz(0.0, 0.0, 20e3, 0.0)
         with pytest.raises(ValueError, match="probe"):
+            transmission(cold_atom, drive, 32)
+
+    @pytest.mark.parametrize("omega_p_hz", [1e-12, 1e-13])
+    def test_probe_below_circular_resolution_rejected(
+            self, cold_atom, cold_drive, monkeypatch, omega_p_hz):
+        # (Omega_c +/- Omega_p)/sqrt(2) round to one value, so the probe
+        # power read back from the pair is exactly 0 although |Omega_p|^2
+        # is not; this used to be reported as zero transmission.
+        drive = dataclasses.replace(
+            cold_drive, omega_p=hz_to_angular(omega_p_hz))
+        assert probe_power(input_fields(drive)) == 0.0
+
+        def started(*_args, **_kwargs):
+            raise AssertionError("march started")
+
+        monkeypatch.setattr(propagation, "propagate", started)
+        with pytest.raises(ValueError, match=(
+                rf"^omega_p = {re.escape(repr(drive.omega_p))} rad/s is "
+                "below the resolution of the circular pair")):
             transmission(cold_atom, drive, 32)
 
     def test_cold_phase_flatness_hierarchy(self, cold_atom):

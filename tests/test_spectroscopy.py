@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -127,6 +128,37 @@ class TestOracleAgreement:
         with pytest.raises(ValueError,
                            match=f"^delta_hz must be finite, got {delta_hz!r}$"):
             chi_probe_timedomain(warm_atom, warm_drive, delta_hz)
+
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"periods": 0}, "periods must be positive, got 0"),
+        ({"periods": -1}, "periods must be positive, got -1"),
+        ({"periods": 1.5}, "periods must be an integer, got 1.5"),
+        ({"steps_per_period": 0}, "steps_per_period must be positive, got 0"),
+        ({"steps_per_period": -16},
+         "steps_per_period must be positive, got -16"),
+        ({"steps_per_period": 16.0},
+         "steps_per_period must be an integer, got 16.0"),
+        ({"sideband_fraction": 0.0},
+         "sideband_fraction must be finite and positive, got 0.0"),
+        ({"sideband_fraction": -0.02},
+         "sideband_fraction must be finite and positive, got -0.02"),
+        ({"sideband_fraction": np.nan},
+         "sideband_fraction must be finite and positive, got nan"),
+        ({"sideband_fraction": np.inf},
+         "sideband_fraction must be finite and positive, got inf"),
+    ])
+    def test_rejects_bad_lock_in_arguments(self, warm_atom, warm_drive,
+                                           monkeypatch, kwargs, message):
+        # These failed with ZeroDivisionError or TypeError, or returned
+        # 0j, -inf-infj or NaN; now they fail before the operating point
+        # is solved.
+        def solved(*_args):
+            raise AssertionError("operating point solved")
+
+        monkeypatch.setattr(spectroscopy, "_operating_point", solved)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            chi_probe_timedomain(warm_atom, warm_drive, 20.0, **kwargs)
 
 
 class TestCircularProbeReadout:
@@ -356,6 +388,52 @@ class TestSweeps:
                 sweep(cold_atom, cold_drive, (0.0, 1.0))
 
 
+def phase_harmonics(atom, drive):
+    """c_k = 2 |rfft(T)[k]| / 16 of transmission over phase_grid(16)."""
+    curve = sweep_phase(atom, drive, phase_grid(16), 64)
+    return 2.0 * np.abs(np.fft.rfft(curve.ys)) / 16
+
+
+class TestSingleLambdaHarmonics:
+    """The cold model by its harmonics in phi.
+
+    At zero field the phase dependence is a pure second harmonic that
+    passes through the remote upper state, so it falls as 1/delta_exc.
+    A static field turns on a first harmonic, linear in delta_b and
+    independent of delta_exc: the single-lambda loop, which needs no
+    upper state (Buckle et al., Optica Acta 33, 1129 (1986)).  Bounds
+    are set from the measured values: c1 and c3 at zero field at most
+    5.2e-17, c2 9.514e-4, c1 1.8423e-3 at 1 Hz.
+    """
+
+    @pytest.fixture(scope="class")
+    def remote(self, cold_atom):
+        # The cold preset with delta_exc 10x and 100x larger.
+        return {k: replace(cold_atom, delta_exc=k * cold_atom.delta_exc)
+                for k in (10, 100)}
+
+    @staticmethod
+    def at_field(drive, delta_b_hz):
+        return replace(drive, delta_b=hz_to_angular(delta_b_hz))
+
+    def test_zero_field_is_a_pure_second_harmonic(self, cold_atom,
+                                                   cold_drive, remote):
+        near = phase_harmonics(cold_atom, cold_drive)
+        far = phase_harmonics(remote[100], cold_drive)
+        for c in (near, far):
+            assert c[1] <= 1e-14 and c[3] <= 1e-14
+        assert near[2] == pytest.approx(9.514e-4, rel=1e-3)
+        assert near[2] / far[2] == pytest.approx(100.0, rel=1e-3)
+
+    def test_field_turns_on_a_first_harmonic(self, cold_drive, remote):
+        one = phase_harmonics(remote[100], self.at_field(cold_drive, 1.0))
+        two = phase_harmonics(remote[100], self.at_field(cold_drive, 2.0))
+        nearer = phase_harmonics(remote[10], self.at_field(cold_drive, 1.0))
+        assert one[1] == pytest.approx(1.842e-3, rel=1e-3)
+        assert two[1] / one[1] == pytest.approx(2.0, rel=1e-2)
+        assert nearer[1] == pytest.approx(one[1], rel=1e-3)
+
+
 class TestPulse:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -364,6 +442,17 @@ class TestPulse:
             PulseSpec(fwhm=1e-3, peak_omega_p=1.0, time_window=4e-3)
         with pytest.raises(ValueError, match="fwhm"):
             PulseSpec(fwhm=0.0, peak_omega_p=1.0)
+
+    @pytest.mark.parametrize("n_samples", [1024.0, 1024.5, np.float64(1024)])
+    def test_non_integer_sample_count_rejected(self, n_samples):
+        # 1024.0 used to raise TypeError from the power-of-two test.
+        message = f"n_samples must be an integer, got {n_samples!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PulseSpec(fwhm=1e-3, peak_omega_p=1.0, n_samples=n_samples)
+
+    def test_numpy_integer_sample_count_accepted(self):
+        spec = PulseSpec(fwhm=1e-3, peak_omega_p=1.0, n_samples=np.int64(512))
+        assert spec.times.shape == (512,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize(

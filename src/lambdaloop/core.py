@@ -36,8 +36,11 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
 
-# Eigenvalues of a complex Hermitian matrix (divide and conquer), bound once.
-_heevd = get_lapack_funcs("heevd", (np.empty((1, 1), dtype=complex),))
+# Cholesky factorisation and eigenvalues (divide and conquer) of a complex
+# Hermitian matrix, bound once.
+_potrf, _heevd = get_lapack_funcs(
+    ("potrf", "heevd"), (np.empty((1, 1), dtype=complex),)
+)
 
 
 class SimulationError(Exception):
@@ -189,20 +192,29 @@ def validate_density_matrix(rho: np.ndarray) -> None:
 
     Checks that every entry is finite, then Hermiticity (1e-12
     element-wise), unit trace (1e-10) and the numerical positivity floor
-    (eigenvalues >= -1e-9).  The eigenvalues are those of the Hermitian
-    part 0.5 * (rho + rho^H).  When the Hermiticity residual is exactly
-    0.0, every entry equals the conjugate of its mirror, so that part
-    equals rho entry for entry and rho goes to the solver as it is.
+    (eigenvalues >= -1e-9).  The floor is tested on the Hermitian part
+    0.5 * (rho + rho^H).  When the Hermiticity residual is exactly 0.0,
+    every entry equals the conjugate of its mirror, so that part equals
+    rho entry for entry and rho goes to LAPACK as it is.
+
+    The floor is certified by a Cholesky factorisation first: one that
+    completes is the exact factorisation of a matrix within a relative
+    backward error of a few units of roundoff (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3), so for a unit-trace
+    state every eigenvalue is above about -1e-15.  Only when it breaks
+    down, as it does on any singular or indefinite state, are the
+    eigenvalues computed and compared with the floor, so both paths
+    accept the same states.
     """
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {rho.shape}")
     adjoint = rho.conj().T
     skew = rho - adjoint
-    # A NaN is true in skew.any(), and an infinite entry makes its skew
-    # entry inf or NaN, so a non-finite rho always reaches the max and
-    # fails below.  An exactly Hermitian rho, as every steady state is,
-    # skips that pass.
-    herm = np.abs(skew).max() if skew.any() else 0.0
+    # count_nonzero (cheaper than .any() here) counts a NaN, and an
+    # infinite entry makes its skew entry inf or NaN, so a non-finite rho
+    # always reaches the max and fails below.  An exactly Hermitian rho,
+    # as every steady state is, skips that pass.
+    herm = np.abs(skew).max() if np.count_nonzero(skew) else 0.0
     if not herm <= HERMITICITY_TOL:
         if not np.isfinite(rho).all():
             raise ValueError("matrix has non-finite entries")
@@ -213,6 +225,8 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
     hermitian = rho if herm == 0.0 else 0.5 * (rho + adjoint)
+    if _potrf(hermitian, lower=1)[1] == 0:
+        return
     # heevd returns the eigenvalues in ascending order.
     eigs, _, info = _heevd(hermitian, compute_v=0, lower=1)
     if info != 0:

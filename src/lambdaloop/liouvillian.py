@@ -61,11 +61,6 @@ COUPLING_FIELD2 = _op(1, 3) - _op(0, 3)          # |2><4| - |1><4|
 ZEEMAN_CIRCULAR = 0.5 * (_op(2, 2) - _op(3, 3))
 UPPER_PROJECTOR = _op(0, 0)
 
-# Right-hand side of the trace-replaced system per unit trace-row scale.
-TRACE_RHS = np.zeros(DIM * DIM, dtype=complex)
-TRACE_RHS[0] = 1.0
-TRACE_RHS.flags.writeable = False
-
 # Complex LU factor-and-solve and back-substitution, bound once.
 _gesv, _getrs = get_lapack_funcs(
     ("gesv", "getrs"), (np.empty((1, 1), dtype=complex),)
@@ -126,7 +121,8 @@ class GeneratorTemplate:
         amp_a, amp_b = complex(amp_a), complex(amp_b)
         coeffs = np.array([1.0, delta_b, amp_a, amp_a.conjugate(),
                            amp_b, amp_b.conjugate()], dtype=complex)
-        return (coeffs @ self._flat).reshape(DIM * DIM, DIM * DIM)
+        # ndarray.dot: less per-call overhead than @ on these operands.
+        return coeffs.dot(self._flat).reshape(DIM * DIM, DIM * DIM)
 
 
 @functools.lru_cache(maxsize=16)
@@ -235,8 +231,12 @@ def steady_state_matrix(generator: np.ndarray, *,
     if not 0.0 < norm < math.inf:
         raise _unscalable(generator, norm)
     a = replace_trace_row(generator.copy(), norm)
+    # The replaced row's right-hand side; every other equation is
+    # homogeneous.
+    b = np.zeros(DIM * DIM, dtype=complex)
+    b[0] = norm
     try:
-        vec = refined_solve(a, TRACE_RHS * norm)
+        vec = refined_solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise _unsolved(
             generator, f"steady-state solve failed: {exc}"

@@ -300,11 +300,12 @@ def test_main_reports_pulse_bandwidth_line(tmp_path, capsys, grid, line,
         "bandwidth, |carrier_detuning| / 2pi + 2.3 / fwhm, needs +/-460 Hz\n")
 
 
-@pytest.mark.parametrize("omega_p_hz", ["1e-12", "1e-13"])
+@pytest.mark.parametrize("omega_p_hz", ["1e-9", "1e-10", "1e-12", "1e-13"])
 def test_main_rejects_unresolved_probe(tmp_path, monkeypatch, capsys,
                                        omega_p_hz):
-    # The probe power of the circular input pair cancels to 0 here; the
-    # run used to write a transmission of 0.0.
+    # The probe power of the circular input pair reads back 0.2% low
+    # (1e-9 Hz), 3.4% low (1e-10 Hz) or cancels to 0 (1e-12 and 1e-13
+    # Hz); the run used to write a transmission against it.
     monkeypatch.chdir(tmp_path)
     code = main(["transmit", "--preset", "fig3-cold", "--omega-p-hz",
                  omega_p_hz, "--steps", "16", "--out", "weak"])

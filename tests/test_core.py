@@ -7,14 +7,19 @@ from lambdaloop import (
     AtomParams,
     Curve,
     DriveConfig,
+    preset_atom,
+    preset_drive,
+    steady_state_matrix,
     to_circular,
     to_linear,
 )
 from lambdaloop.core import (
     RateHierarchyWarning,
     hz_to_angular,
+    input_fields,
     validate_density_matrix,
 )
+from lambdaloop.liouvillian import circular_template
 
 
 def to_linear_basis(rho):
@@ -214,30 +219,133 @@ class TestDensityMatrixValidation:
             validate_density_matrix(bad)
 
     def test_exactly_hermitian_state_skips_symmetrising(self, monkeypatch):
-        # The solver sees the Hermitian part 0.5 * (rho + rho^H); an
-        # exactly Hermitian rho is its own Hermitian part and goes as it
-        # is, while an asymmetry within the tolerance is still averaged.
+        # The positivity test sees the Hermitian part 0.5 * (rho + rho^H),
+        # first in the Cholesky certificate and then, when that breaks
+        # down, in heevd; an exactly Hermitian rho is its own Hermitian
+        # part and goes as it is, while an asymmetry within the tolerance
+        # is still averaged.
         seen = []
-        heevd = core._heevd
+        potrf, heevd = core._potrf, core._heevd
 
-        def capturing(a, compute_v, lower):
-            seen.append(a)
+        def capturing_potrf(a, lower):
+            seen.append(("potrf", a))
+            return potrf(a, lower=lower)
+
+        def capturing_heevd(a, compute_v, lower):
+            seen.append(("heevd", a))
             return heevd(a, compute_v=compute_v, lower=lower)
 
-        monkeypatch.setattr(core, "_heevd", capturing)
-        rho = np.diag([0.1, 0.1, 0.4, 0.4]).astype(complex)
-        rho[2, 3] = 0.1 + 0.05j
-        rho[0, 2] = 0.02 - 0.01j
-        rho += np.triu(rho, 1).conj().T
-        validate_density_matrix(rho)
-        assert seen[-1] is rho
+        monkeypatch.setattr(core, "_potrf", capturing_potrf)
+        monkeypatch.setattr(core, "_heevd", capturing_heevd)
+        # Positive definite (certified), then singular with empty excited
+        # states (the eigenvalue fallback).
+        for excited, calls in ((0.1, ["potrf"]), (0.0, ["potrf", "heevd"])):
+            ground = 0.5 - excited
+            rho = np.diag([excited, excited, ground, ground]).astype(complex)
+            rho[2, 3] = 0.1 + 0.05j
+            rho[0, 2] = excited * (0.2 - 0.1j)
+            rho += np.triu(rho, 1).conj().T
+            seen.clear()
+            validate_density_matrix(rho)
+            assert [name for name, _ in seen] == calls
+            assert all(a is rho for _, a in seen)
 
-        skewed = rho.copy()
-        skewed[0, 2] += 5e-13
-        validate_density_matrix(skewed)
-        hermitian_part = 0.5 * (skewed + skewed.conj().T)
-        assert seen[-1].tobytes() == hermitian_part.tobytes()
-        assert not np.array_equal(hermitian_part, skewed)
+            skewed = rho.copy()
+            skewed[0, 2] += 5e-13
+            seen.clear()
+            validate_density_matrix(skewed)
+            hermitian_part = 0.5 * (skewed + skewed.conj().T)
+            assert [name for name, _ in seen] == calls
+            assert all(a.tobytes() == hermitian_part.tobytes()
+                       for _, a in seen)
+            assert not np.array_equal(hermitian_part, skewed)
+
+    def test_positive_definite_state_skips_eigenvalues(self, monkeypatch):
+        # A completed Cholesky factorisation certifies the floor alone;
+        # the steady states of both presets are positive definite.
+        states = [np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)]
+        for name in ("fig3-cold", "fig4-warm"):
+            drive = preset_drive(name)
+            gen = circular_template(preset_atom(name)).generator(
+                drive.delta_b, *input_fields(drive))
+            states.append(steady_state_matrix(gen))
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("heevd called on a positive-definite state")
+
+        monkeypatch.setattr(core, "_heevd", forbidden)
+        for rho in states:
+            validate_density_matrix(rho)
+
+    @pytest.mark.parametrize("rho, verdict", [
+        (np.diag([0, 0, 0.5, 0.5]), None),
+        (np.diag([-1e-3, 1e-3, 0.5, 0.5]), "negative eigenvalue"),
+    ])
+    def test_singular_or_indefinite_state_computes_eigenvalues(
+            self, monkeypatch, rho, verdict):
+        calls = []
+        heevd = core._heevd
+
+        def counted(a, compute_v, lower):
+            calls.append(a)
+            return heevd(a, compute_v=compute_v, lower=lower)
+
+        monkeypatch.setattr(core, "_heevd", counted)
+        rho = rho.astype(complex)
+        if verdict is None:
+            validate_density_matrix(rho)
+        else:
+            with pytest.raises(ValueError, match=verdict):
+                validate_density_matrix(rho)
+        assert len(calls) == 1
+
+    def test_certificate_keeps_eigenvalue_verdicts(self, monkeypatch):
+        # Random unit-trace states with the smallest eigenvalue placed
+        # at and around the floor: the check with the Cholesky
+        # certificate gives the verdict and message that eigenvalues
+        # alone give (the certificate patched to always break down).
+        def verdict(rho):
+            try:
+                validate_density_matrix(rho)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        def broken_down(a, lower):
+            return a, 1
+
+        rng = np.random.default_rng(20131024)
+        floor = core.EIGENVALUE_FLOOR
+        targets = (2.0 * floor, floor * (1 + 1e-7), floor * (1 - 1e-7),
+                   -1e-12, 0.0, 1e-15)
+        accepted = fallbacks = 0
+        potrf = core._potrf
+
+        def counted(a, lower):
+            nonlocal fallbacks
+            c, info = potrf(a, lower=lower)
+            fallbacks += info != 0
+            return c, info
+
+        monkeypatch.setattr(core, "_potrf", counted)
+        for lam in targets:
+            for _ in range(400):
+                z = (rng.standard_normal((4, 4))
+                     + 1j * rng.standard_normal((4, 4)))
+                unitary = np.linalg.qr(z)[0]
+                rest = rng.uniform(size=3)
+                eigs = np.concatenate(([lam], rest * (1 - lam) / rest.sum()))
+                rho = (unitary * eigs) @ unitary.conj().T
+                rho = 0.5 * (rho + rho.conj().T)
+                got = verdict(rho)
+                with monkeypatch.context() as m:
+                    m.setattr(core, "_potrf", broken_down)
+                    expected = verdict(rho)
+                assert got == expected
+                accepted += got is None
+        # Both verdicts and both paths occur.
+        assert 0 < accepted < 2400
+        assert 0 < fallbacks < 2400
 
     def test_eigenvalue_solver_failure_is_value_error(self, monkeypatch):
         def failing(a, compute_v, lower):

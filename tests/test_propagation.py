@@ -203,15 +203,19 @@ class TestTransmission:
         with pytest.raises(ValueError, match="probe"):
             transmission(cold_atom, drive, 32)
 
-    @pytest.mark.parametrize("omega_p_hz", [1e-12, 1e-13])
+    @pytest.mark.parametrize("omega_p_hz", [1e-9, 1e-10, 1e-12, 1e-13])
     def test_probe_below_circular_resolution_rejected(
             self, cold_atom, cold_drive, monkeypatch, omega_p_hz):
-        # (Omega_c +/- Omega_p)/sqrt(2) round to one value, so the probe
-        # power read back from the pair is exactly 0 although |Omega_p|^2
-        # is not; this used to be reported as zero transmission.
+        # (Omega_c +/- Omega_p)/sqrt(2) cancel, so the probe power read
+        # back from the pair is 0.2% (1e-9 Hz) and 3.4% (1e-10 Hz) below
+        # |Omega_p|^2, and exactly 0 below that; these used to be
+        # reported as a transmission against that read-back.
         drive = dataclasses.replace(
             cold_drive, omega_p=hz_to_angular(omega_p_hz))
-        assert probe_power(input_fields(drive)) == 0.0
+        read_back = probe_power(input_fields(drive))
+        assert (abs(read_back - drive.omega_p**2)
+                > propagation.REFINEMENT_TOL * drive.omega_p**2)
+        assert (read_back == 0.0) == (omega_p_hz < 1e-11)
 
         def started(*_args, **_kwargs):
             raise AssertionError("march started")
@@ -219,8 +223,17 @@ class TestTransmission:
         monkeypatch.setattr(propagation, "propagate", started)
         with pytest.raises(ValueError, match=(
                 rf"^omega_p = {re.escape(repr(drive.omega_p))} rad/s is "
-                "below the resolution of the circular pair")):
+                "below the resolution of the circular pair: its probe "
+                "power reads back as ")):
             transmission(cold_atom, drive, 32)
+
+    @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
+    def test_preset_probe_reads_back_within_tolerance(self, name):
+        drive = preset_drive(name)
+        read_back = probe_power(input_fields(drive))
+        assert (abs(read_back - drive.omega_p**2)
+                <= propagation.REFINEMENT_TOL * drive.omega_p**2)
+        assert 0.0 < transmission(preset_atom(name), drive, 16) < math.inf
 
     def test_cold_phase_flatness_hierarchy(self, cold_atom):
         # Without the static field the residual phase modulation sits

@@ -261,6 +261,19 @@ class TestResponseProperties:
             _solve_sideband(-1j * delta * np.eye(16), delta,
                             np.ones(16, dtype=complex))
 
+    # inf - inf in the refinement residual makes numpy warn first.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sideband_response_names_detuning(self, bad):
+        # A regular system whose seed block carries one non-finite entry:
+        # the solve succeeds and the response it returns is not finite.
+        delta = hz_to_angular(12.5)
+        seed = np.ones((16, 2), dtype=complex)
+        seed[5, 1] = bad
+        with pytest.raises(SteadyStateError, match=(
+                r"^sideband response diverged at delta = 12\.5 Hz$")):
+            _solve_sideband(-np.eye(16), delta, seed)
+
 
     def test_spectrum_warns_once_at_worst_truncation(self, warm_atom,
                                                      warm_drive):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CIRCULAR_LABELS, AtomParams, DriveConfig, input_fields
-from .presets import ATOM_KEYS, DRIVE_KEYS, PRESETS, from_keys, preset_names
+from .presets import ATOM_KEYS, DRIVE_KEYS, from_keys, preset_values
 from .propagation import MIN_STEPS, transmission
 from .liouvillian import circular_template, steady_state_matrix
 from .spectroscopy import (
@@ -125,10 +125,10 @@ def _resolve(entries: dict) -> RunConfig:
 
     preset = values.get("preset")
     if preset is not None:
-        if preset not in PRESETS:
-            err("preset", f"unknown preset {preset!r}; available: "
-                          f"{', '.join(preset_names())}")
-        values = {**PRESETS[preset], **values}
+        try:
+            values = {**preset_values(preset), **values}
+        except KeyError as exc:
+            err("preset", exc.args[0])
 
     mode = values.get("mode")
     required = {"mode"} | set(ATOM_KEYS.values()) | set(DRIVE_KEYS.values())

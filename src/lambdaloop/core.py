@@ -101,7 +101,7 @@ class AtomParams:
                 "ground-state rates are not small against gamma_e; the "
                 "ground/excited timescale separation is marginal",
                 RateHierarchyWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @classmethod

@@ -93,18 +93,17 @@ def probe_power(fields) -> float:
 def field_derivative(kappa: float, rho: np.ndarray) -> np.ndarray:
     """d(Omega_1, Omega_2)/dz = -i kappa Tr(V_k^dagger rho), k = 1, 2.
 
-    rho is a 4x4 state, a vectorised one (16,) or a (16, k) block of
-    vectorised states, one per column, all read in one product; the
-    result is (2,) or (2, k).
+    rho is a vectorised state (16,) or a (16, k) block of vectorised
+    states, one per column, all read in one product; the result is (2,)
+    or (2, k).
     """
-    if rho.shape == (4, 4):
-        rho = rho.ravel()
     # ndarray.dot: less per-call overhead than @ on these small operands.
     return (-1j * kappa) * FIELD_ROWS.dot(rho)
 
 
 def carrier_stage(template, delta_b, fields, z, record=None):
-    """Generator and steady state at (Omega_1, Omega_2) = fields[:2].
+    """Generator and vectorised steady state (16,) at (Omega_1, Omega_2)
+    = fields[:2], the state in the layout field_derivative reads.
 
     Solves through this module's steady_state_matrix, passing record on;
     a failure is re-raised as PropagationError naming z.
@@ -116,7 +115,7 @@ def carrier_stage(template, delta_b, fields, z, record=None):
         raise PropagationError(
             f"steady-state solve failed at z = {z:.6g} m: {exc}"
         ) from exc
-    return gen, rho
+    return gen, rho.ravel()
 
 
 def check_steps(n_steps: int) -> None:
@@ -152,20 +151,17 @@ def z_march(rhs, state, length, n_steps):
 
 
 def propagate(fields_in, params: AtomParams, drive: DriveConfig,
-              n_steps: int = 256, *, verify_refinement: bool = False,
-              record: dict | None = None) -> np.ndarray:
+              n_steps: int = 256, *, record: dict | None = None) -> np.ndarray:
     """Propagate a circular pair (Omega_1, Omega_2) through the cell.
 
     Returns the pair at every z of the grid, an (n_steps + 1, 2) complex
     array whose first row is the input.  The probe one-photon detuning
     in `drive` is ignored here; both fields are degenerate in this path.
-    With verify_refinement the run is repeated at 2*n_steps and a
-    RefinementWarning is emitted if the probe output power moved by more
-    than 1e-6 relative.  A record, if given, is passed to the stage
-    solves of the n_steps march, which fold their checked residuals into
-    record["max_steady_residual"] as a running max (steady_state_matrix);
-    a free-space cell solves nothing and leaves it alone.  With
-    verify_refinement it also receives the refinement_delta.
+    A record, if given, is passed to the stage solves, which fold their
+    checked residuals into record["max_steady_residual"] as a running
+    max (steady_state_matrix); a free-space cell solves nothing and
+    leaves it alone.  The grid-refinement check belongs to transmission,
+    which compares probe powers.
     """
     check_steps(n_steps)
     fields_in = np.asarray(fields_in, dtype=complex)
@@ -175,31 +171,11 @@ def propagate(fields_in, params: AtomParams, drive: DriveConfig,
 
     template = circular_template(params)
 
-    def march(steps, stage_record):
-        def rhs(f, z):
-            _, rho = carrier_stage(template, drive.delta_b, f, z,
-                                   stage_record)
-            return field_derivative(kappa, rho)
+    def rhs(f, z):
+        _, vec = carrier_stage(template, drive.delta_b, f, z, record)
+        return field_derivative(kappa, vec)
 
-        return z_march(rhs, fields_in, params.cell_length, steps)
-
-    profile = march(n_steps, record)
-    if verify_refinement:
-        fine = march(2 * n_steps, None)
-        coarse_p = probe_power(profile[-1])
-        fine_p = probe_power(fine[-1])
-        ref = max(abs(fine_p), abs(fields_in[0]) ** 2 * 1e-30)
-        delta = abs(coarse_p - fine_p) / ref
-        if record is not None:
-            record["refinement_delta"] = delta
-        if delta > REFINEMENT_TOL:
-            warnings.warn(
-                f"probe power changed by {delta:.3e} relative when the "
-                f"z grid was doubled from {n_steps} steps",
-                RefinementWarning,
-                stacklevel=2,
-            )
-    return profile
+    return z_march(rhs, fields_in, params.cell_length, n_steps)
 
 
 def transmission(params: AtomParams, drive: DriveConfig, n_steps: int = 256,
@@ -212,7 +188,13 @@ def transmission(params: AtomParams, drive: DriveConfig, n_steps: int = 256,
     from the circular input pair, where (Omega_c +/- Omega_p)/sqrt(2)
     cancel; a probe so weak that this read-back is 0 or off |Omega_p|^2
     by more than REFINEMENT_TOL relative raises ValueError before
-    anything is solved.
+    anything is solved.  A record, if given, goes to the n_steps march.
+
+    This function owns the grid-refinement check: with verify_refinement
+    the march is repeated at 2*n_steps without the record, and a
+    RefinementWarning naming the caller's line is emitted if the output
+    probe power moved by more than REFINEMENT_TOL relative; the record
+    also receives that change as refinement_delta.
     """
     if drive.omega_p <= 0.0:
         raise ValueError("transmission requires a nonzero probe amplitude")
@@ -226,32 +208,40 @@ def transmission(params: AtomParams, drive: DriveConfig, n_steps: int = 256,
             f"the circular pair: its probe power reads back as {p_in:.6g} "
             f"against omega_p^2 = {p_drive:.6g} (rad/s)^2"
         )
-    profile = propagate(
-        fields_in, params, drive, n_steps,
-        verify_refinement=verify_refinement, record=record,
-    )
-    return probe_power(profile[-1]) / p_in
+    p_out = probe_power(
+        propagate(fields_in, params, drive, n_steps, record=record)[-1])
+    if verify_refinement:
+        fine_p = probe_power(
+            propagate(fields_in, params, drive, 2 * n_steps)[-1])
+        ref = max(abs(fine_p), abs(fields_in[0]) ** 2 * 1e-30)
+        delta = abs(p_out - fine_p) / ref
+        if record is not None:
+            record["refinement_delta"] = delta
+        if delta > REFINEMENT_TOL:
+            warnings.warn(
+                f"probe power changed by {delta:.3e} relative when the "
+                f"z grid was doubled from {n_steps} steps",
+                RefinementWarning,
+                stacklevel=2,
+            )
+    return p_out / p_in
 
 
 def bare_transition_transmission(params: AtomParams,
-                                 omega_probe: float | None = None,
                                  n_steps: int = 512) -> float:
     """Brute-force two-level check of the kappa calibration.
 
-    Propagates a weak resonant field through a bare |3> -> |2> two-level
-    medium (full population in the ground state, decay gamma_e back to
-    it) using the calibrated kappa.  The returned intensity transmission
-    must equal exp(-OD); this is the oracle pinning the sign and the
-    factor in calibrate_kappa.  It shares only the superoperator formulas
-    with the four-level model and makes its own trace-row solves.
+    Propagates a weak resonant field of amplitude 1e-4 * gamma_e through
+    a bare |3> -> |2> two-level medium (full population in the ground
+    state, decay gamma_e back to it) using the calibrated kappa.  The
+    returned intensity transmission must equal exp(-OD); this is the
+    oracle pinning the sign and the factor in calibrate_kappa.  It shares
+    only the superoperator formulas with the four-level model and makes
+    its own trace-row solves.
     """
     check_steps(n_steps)
     gamma = params.gamma_e
-    if omega_probe is None:
-        omega_probe = 1e-4 * gamma
-    if not (math.isfinite(omega_probe) and omega_probe != 0.0):
-        raise ValueError(
-            f"omega_probe must be finite and nonzero, got {omega_probe!r}")
+    omega_probe = 1e-4 * gamma
     kappa = calibrate_kappa(params)
     jump = np.array([[0.0, 0.0], [math.sqrt(gamma), 0.0]], dtype=complex)
     diss = dissipator_superop([jump])

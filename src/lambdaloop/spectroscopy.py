@@ -424,8 +424,7 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
         delta = hz_to_angular(float(d_hz))
 
         def rhs(state, z):
-            gen, rho = carrier_stage(template, drive.delta_b, state, z)
-            vec = rho.ravel()
+            gen, vec = carrier_stage(template, drive.delta_b, state, z)
             pieces = drive_pieces.dot(vec).reshape(4, 16)
             # Column 0 seeds the -delta sideband with c = (e1, f1, e2,
             # f2); column 1, with conj(c), is D of the +delta seed, so

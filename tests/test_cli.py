@@ -61,6 +61,14 @@ def test_unknown_preset_rejected():
         parse_config("mode = transmit\npreset = fig9-hot\n")
 
 
+def test_unknown_preset_atom_names_the_presets():
+    # The one unknown-preset message, which the CLI reports as it is.
+    with pytest.raises(KeyError) as err:
+        preset_atom("nope")
+    assert err.value.args == (
+        "unknown preset 'nope'; available: fig3-cold, fig4-warm",)
+
+
 def test_bad_mode_rejected():
     with pytest.raises(ConfigError, match="mode must be one of"):
         parse_config("mode = warp\npreset = fig3-cold\n")
@@ -72,6 +80,16 @@ def test_sweep_needs_two_points():
         "sweep_start = 0\nsweep_stop = 6.28\npoints = 1\n"
     )
     with pytest.raises(ConfigError, match="points"):
+        parse_config(text)
+
+
+def test_sweep_stop_must_exceed_start():
+    text = (
+        "mode = sweep-phase\npreset = fig3-cold\n"
+        "sweep_start = 1\nsweep_stop = 1\npoints = 4\n"
+    )
+    with pytest.raises(ConfigError, match=(
+            "^line 4: sweep_stop must exceed sweep_start$")):
         parse_config(text)
 
 
@@ -274,12 +292,24 @@ def test_main_reports_config_errors(capsys):
     ("preset = fig3-cold\nbogus = 1\n", "line 2: unknown key 'bogus'"),
     ("preset = fig3-cold\nod = 0\nod = 0.15\n",
      "line 3: 'od' is already set on line 2"),
-], ids=["unknown-key", "repeated-key"])
+    ("preset = fig3-cold\nod 0.15  # comment\n",
+     "line 2: expected 'key = value', got 'od 0.15  # comment'"),
+    ("preset = fig3-cold\nod =  # comment\n", "line 2: empty value for 'od'"),
+], ids=["unknown-key", "repeated-key", "no-equals", "empty-value"])
 def test_main_reports_config_file_errors(tmp_path, capsys, text, message):
     config = tmp_path / "bad.cfg"
     config.write_text(text)
     assert main(["transmit", "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_main_reports_unreadable_config(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["transmit", "--config", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot read config: [Errno 2] No such file or directory: "
+        f"{str(missing)!r}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("grid, line, nyquist", [

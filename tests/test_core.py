@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,6 +112,18 @@ class TestAtomParams:
         with pytest.warns(RateHierarchyWarning):
             AtomParams.from_hz(100.0, 50.0, 50.0, 800e6, 0.1, 0.07)
 
+    def test_hierarchy_warning_names_the_constructing_line(self):
+        # Not the __init__ the dataclass generates, which has no file: a
+        # direct construction names its caller, from_hz its own line.
+        for make, filename in ((AtomParams, __file__),
+                               (AtomParams.from_hz, core.__file__)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                make(100.0, 50.0, 50.0, 800e6, 0.1, 0.07)
+            [warned] = [w for w in caught
+                        if w.category is RateHierarchyWarning]
+            assert warned.filename == filename
+
     def test_from_hz_applies_two_pi(self):
         atom = AtomParams.from_hz(6e6, 10, 10, 800e6, 0.15, 0.075)
         assert atom.gamma_e == pytest.approx(2 * np.pi * 6e6)
@@ -154,6 +169,12 @@ class TestDriveConfig:
 
 
 class TestDensityMatrixValidation:
+    @pytest.mark.parametrize("shape", [(16,), (4, 3), (16, 16)])
+    def test_shape_enforced(self, shape):
+        with pytest.raises(ValueError, match=(
+                rf"^expected a 4x4 matrix, got {re.escape(str(shape))}$")):
+            validate_density_matrix(np.zeros(shape, dtype=complex))
+
     def test_trace_enforced(self):
         with pytest.raises(ValueError, match="trace"):
             validate_density_matrix(np.diag([0, 0, 0.6, 0.5]).astype(complex))

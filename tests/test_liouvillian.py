@@ -326,6 +326,19 @@ class TestSteadyState:
             steady_state_matrix(gen)
         assert str(err.value) == message
 
+    def test_unphysical_kernel_rejected(self, rng):
+        # G = B (I - x x^H / |x|^2) has the unique kernel x = vec(diag(1.5,
+        # -0.5, 0, 0)), of unit trace, and the solve meets the residual
+        # check; only the eigenvalue floor rejects the state.
+        x = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex).ravel()
+        b = 4.0 * np.eye(16) + rng.normal(size=(16, 16))
+        gen = b @ (np.eye(16) - np.outer(x, x.conj()) / np.vdot(x, x).real)
+        assert nullspace_dimension(gen) == 1
+        with pytest.raises(SteadyStateError, match=(
+                r"^steady state is unphysical: negative eigenvalue "
+                r"-5\.000e-01 below floor$")):
+            steady_state_matrix(gen)
+
     def test_matches_long_time_evolution(self, soft_atom, rng):
         # Independent oracle: the exact semigroup applied for 50 ground
         # lifetimes on a rate-compressed system.

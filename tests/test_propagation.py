@@ -60,13 +60,10 @@ class TestKappaCalibration:
         expected = np.exp(-warm_atom.optical_depth)
         assert got == pytest.approx(expected, rel=1e-4)
 
-    @pytest.mark.parametrize("omega_probe", [0.0, np.nan, np.inf])
-    def test_bare_transition_rejects_probe(self, warm_atom, omega_probe):
-        # Zero made 0/0 and NaN was blamed on the march at its first z.
-        with pytest.raises(ValueError, match=(
-                f"^omega_probe must be finite and nonzero, "
-                f"got {omega_probe!r}$")):
-            bare_transition_transmission(warm_atom, omega_probe=omega_probe)
+    def test_bare_transition_probes_at_one_amplitude(self, warm_atom):
+        # The oracle is defined at 1e-4 gamma_e; there is no probe knob.
+        with pytest.raises(TypeError, match="omega_probe"):
+            bare_transition_transmission(warm_atom, omega_probe=1.0)
 
 
 class TestProbePower:
@@ -96,15 +93,22 @@ def test_field_derivative_is_the_propagation_equations(rng):
             preset_atom("fig4-warm"))):
         for _ in range(50):
             rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            # A transposed view too, as the sideband march passes one.
-            for r in (rho, rho.conj().T):
-                expected = np.array([
-                    -1j * kappa * (r[1, 2] + r[0, 2]),
-                    -1j * kappa * (r[1, 3] - r[0, 3]),
-                ])
-                got = propagation.field_derivative(kappa, r)
+            states = (rho, rho.conj().T)
+            expected = np.array([
+                [-1j * kappa * (r[1, 2] + r[0, 2]),
+                 -1j * kappa * (r[1, 3] - r[0, 3])]
+                for r in states
+            ]).T
+            for r, column in zip(states, expected.T):
+                got = propagation.field_derivative(kappa, r.ravel())
                 assert got.shape == (2,)
-                assert (got == expected).all()
+                assert (got == column).all()
+            # A transposed (16, k) block too, as the sideband march
+            # passes one: one vectorised state per column.
+            block = np.array([r.ravel() for r in states])
+            got = propagation.field_derivative(kappa, block.T)
+            assert got.shape == (2, len(states))
+            assert (got == expected).all()
 
 
 @pytest.mark.parametrize("preset", ["fig3-cold", "fig4-warm"])
@@ -127,7 +131,7 @@ def test_every_stage_loses_photons_to_decay(preset, rng):
         fields = input_fields(drive)
         rho = steady_state_matrix(template.generator(drive.delta_b, *fields))
         gained = 2.0 * np.vdot(
-            fields, propagation.field_derivative(kappa, rho)).real
+            fields, propagation.field_derivative(kappa, rho.ravel())).real
         decayed = kappa * atom.gamma_e * (rho[0, 0] + rho[1, 1]).real
         assert decayed > 0.0
         assert gained == pytest.approx(-decayed, rel=1e-13, abs=0.0)
@@ -157,6 +161,35 @@ class TestPropagate:
             transmission(warm_atom, warm_drive, 256,
                          verify_refinement=True, record=record)
         assert record["refinement_delta"] < 1e-6
+
+    def test_refinement_check_belongs_to_transmission(self, cold_atom,
+                                                      cold_drive):
+        fields = input_fields(cold_drive)
+        with pytest.raises(TypeError, match="verify_refinement"):
+            propagate(fields, cold_atom, cold_drive, 16,
+                      verify_refinement=True)
+
+    def test_refinement_warning_names_the_caller(self, warm_atom,
+                                                 warm_drive):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            transmission(warm_atom, warm_drive, 16, verify_refinement=True)
+        warned = [w for w in caught
+                  if w.category is propagation.RefinementWarning]
+        assert len(warned) == 1
+        assert warned[0].filename == __file__
+
+    def test_verified_free_space_records_no_change(self, cold_atom,
+                                                   cold_drive):
+        # The doubled march of an empty cell returns its input again, so
+        # the check runs and measures exactly nothing.
+        record = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = transmission(free_space(cold_atom), cold_drive, 32,
+                               verify_refinement=True, record=record)
+        assert got == 1.0
+        assert record == {"refinement_delta": 0.0}
 
     def test_z_march_is_fourth_order(self, warm_atom, warm_drive):
         # The n -> 2n refinement delta of classical RK4 falls by 2^4 = 16

@@ -500,6 +500,18 @@ class TestPulse:
         )
         assert got == pytest.approx(t_delay, rel=1e-3)
 
+    @pytest.mark.parametrize("values, expected", [
+        ([3.0, 2.0, 1.0, 0.0], 0.0),
+        ([0.0, 1.0, 2.0, 3.0], 0.3),
+        # (1 - 2^-53) - 2 * 1 rounds to -1, so the curvature is 0.
+        ([np.nextafter(1.0, 0.0), 1.0, 1.0, 0.0], 0.1),
+    ], ids=["first-sample", "last-sample", "flat-top"])
+    def test_peak_time_without_a_parabola(self, values, expected):
+        # A maximum at an edge has no neighbour on one side, and a flat
+        # top no curvature: both return the sample time as it is.
+        times = np.array([0.0, 0.1, 0.2, 0.3])
+        assert peak_time(times, np.array(values)) == expected
+
     def test_warns_on_strong_probe(self, warm_atom, warm_drive):
         # At zero OD the transfer is unity, so only the drive check runs.
         atom = replace(warm_atom, optical_depth=0.0)

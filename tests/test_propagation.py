@@ -60,10 +60,13 @@ class TestKappaCalibration:
         expected = np.exp(-warm_atom.optical_depth)
         assert got == pytest.approx(expected, rel=1e-4)
 
-    def test_bare_transition_probes_at_one_amplitude(self, warm_atom):
-        # The oracle is defined at 1e-4 gamma_e; there is no probe knob.
+    @pytest.mark.parametrize("omega_probe", [0.0, np.nan, np.inf])
+    def test_bare_transition_rejects_probe(self, warm_atom, omega_probe):
+        # The oracle is defined at 1e-4 gamma_e; there is no probe knob, so
+        # the values it once rejected as invalid now fail as an unknown
+        # argument rather than reaching the march.
         with pytest.raises(TypeError, match="omega_probe"):
-            bare_transition_transmission(warm_atom, omega_probe=1.0)
+            bare_transition_transmission(warm_atom, omega_probe=omega_probe)
 
 
 class TestProbePower:

@@ -125,10 +125,11 @@ class RateHierarchyWarning(UserWarning):
 class DriveConfig:
     """Per-run drive knobs (frequencies angular, phase in radians).
 
-    phi is reduced to [0, 2*pi) on construction.  delta_probe is the probe
-    one-photon detuning read by weak_probe_response alone; the degenerate
-    steady-state and propagation paths and every CLI mode ignore it, so
-    no config key sets it.
+    phi is reduced to [0, 2*pi) on construction, and a drive whose power
+    omega_c^2 + omega_p^2 overflows a float is rejected.  delta_probe is
+    the probe one-photon detuning read by weak_probe_response alone; the
+    degenerate steady-state and propagation paths and every CLI mode
+    ignore it, so no config key sets it.
     """
 
     delta_b: float       # Zeeman splitting between |3> and |4> (signed)
@@ -142,6 +143,11 @@ class DriveConfig:
         for name in ("omega_c", "omega_p"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
+        if not math.isfinite(self.omega_c * self.omega_c
+                             + self.omega_p * self.omega_p):
+            raise ValueError(
+                "the drive power omega_c^2 + omega_p^2 overflows: "
+                f"omega_c = {self.omega_c!r}, omega_p = {self.omega_p!r}")
         object.__setattr__(self, "phi", self.phi % TWO_PI)
 
     @classmethod

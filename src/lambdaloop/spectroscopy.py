@@ -341,9 +341,10 @@ def chi_probe_timedomain(params: AtomParams, drive: DriveConfig,
     periods.  The frozen-phase staircase leaves an error linear in the
     step size, removed by one Richardson extrapolation (run at n and 2n
     steps per period).  Independent of the harmonic-balance linear
-    solve.  periods and steps_per_period must be positive integers and
-    sideband_fraction finite and positive; a bad argument raises
-    ValueError naming it before anything is solved.
+    solve.  periods and steps_per_period must be positive integers,
+    sideband_fraction finite and positive, and omega_c or omega_p nonzero
+    (the sideband is that fraction of omega_p, or else of omega_c); a bad
+    argument raises ValueError naming it before anything is solved.
     """
     if not math.isfinite(delta_hz):
         raise ValueError(f"delta_hz must be finite, got {delta_hz!r}")
@@ -356,6 +357,9 @@ def chi_probe_timedomain(params: AtomParams, drive: DriveConfig,
     if not (math.isfinite(sideband_fraction) and sideband_fraction > 0.0):
         raise ValueError("sideband_fraction must be finite and positive, "
                          f"got {sideband_fraction!r}")
+    if drive.omega_p == drive.omega_c == 0.0:
+        raise ValueError("the lock-in oracle needs a field: omega_c and "
+                         "omega_p are both 0")
     delta = hz_to_angular(delta_hz)
     gen0, rho_start, up, dn = _operating_point(params, drive)
     eta = sideband_fraction * (drive.omega_p or drive.omega_c)

@@ -67,6 +67,13 @@ def circular_generator(params, drive, fields=None):
     return circular_template(params).generator(drive.delta_b, *fields)
 
 
+def relative_variation(ys):
+    """(max - min) / mean of the real parts: criterion 1's phase-modulation
+    depth of a transmission sweep."""
+    ys = np.real(ys)
+    return (ys.max() - ys.min()) / ys.mean()
+
+
 @pytest.fixture(scope="session")
 def cold_atom():
     return preset_atom("fig3-cold")

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import circular_generator
+from conftest import circular_generator, relative_variation
 from lambdaloop import (
     AtomParams,
     DriveConfig,
@@ -65,11 +65,6 @@ def cold_phase_sweep(params, db_hz, n_points, n_steps):
     return sweep_phase(params, drive, phase_grid(n_points), n_steps)
 
 
-def relative_variation(curve):
-    ys = np.real(curve.ys)
-    return (ys.max() - ys.min()) / ys.mean()
-
-
 def single_lambda_limit(params, near, n_points, n_steps):
     """Zero-field phase variation extrapolated to delta_exc -> infinity.
 
@@ -81,7 +76,7 @@ def single_lambda_limit(params, near, n_points, n_steps):
     """
     far_params = replace(params, delta_exc=2.0 * params.delta_exc)
     far = relative_variation(
-        cold_phase_sweep(far_params, 0.0, n_points, n_steps)
+        cold_phase_sweep(far_params, 0.0, n_points, n_steps).ys
     )
     return 2.0 * far - near, 2.0 * far / near
 
@@ -149,7 +144,7 @@ def test_criterion_1_cold_phase_insensitivity(cold_phase_sweeps):
     # Without the field the double lambda reduces to a single lambda plus
     # the far-detuned loop through the upper state, whose ~1.9e-3 cos(2 phi)
     # floor falls as 1/delta_exc; the criterion checks the single lambda.
-    near = relative_variation(cold_phase_sweeps["curves"][0.0])
+    near = relative_variation(cold_phase_sweeps["curves"][0.0].ys)
     (limit, law), far_seconds = timed(
         lambda: single_lambda_limit(COLD, near, 64, 256)
     )
@@ -168,7 +163,7 @@ def test_criterion_1_negative_control():
     # come through the upper state (it barely moves when delta_exc doubles),
     # so the criterion-1 measurement must reject it.
     params = replace(COLD, gamma_coh=2.0 * COLD.gamma_pop)
-    near = relative_variation(cold_phase_sweep(params, 0.0, 16, 64))
+    near = relative_variation(cold_phase_sweep(params, 0.0, 16, 64).ys)
     limit, law = single_lambda_limit(params, near, 16, 64)
     print(f"gamma_coh = 2 gamma_pop: single-lambda limit {limit:.1e}, "
           f"1/delta_exc law ratio {law:.3f}")

@@ -295,7 +295,12 @@ def test_main_reports_config_errors(capsys):
     ("preset = fig3-cold\nod 0.15  # comment\n",
      "line 2: expected 'key = value', got 'od 0.15  # comment'"),
     ("preset = fig3-cold\nod =  # comment\n", "line 2: empty value for 'od'"),
-], ids=["unknown-key", "repeated-key", "no-equals", "empty-value"])
+    ("preset = fig3-cold\nod = 0\nomega_p_hz = 1e160\n",
+     "line 3: invalid drive parameters: the drive power omega_c^2 + "
+     "omega_p^2 overflows: omega_c = 125663.70614359173, "
+     "omega_p = 6.283185307179587e+160"),
+], ids=["unknown-key", "repeated-key", "no-equals", "empty-value",
+        "overflowing-drive-power"])
 def test_main_reports_config_file_errors(tmp_path, capsys, text, message):
     config = tmp_path / "bad.cfg"
     config.write_text(text)
@@ -408,6 +413,19 @@ def test_zero_probe_flag_rejected(tmp_path, monkeypatch, capsys):
                  "--omega-p-hz", "0"]) == 2
     assert capsys.readouterr().err == (
         "error: transmission requires a nonzero probe amplitude\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["transmit", "steady"])
+def test_unrepresentable_drive_power_flag_rejected(tmp_path, monkeypatch,
+                                                   capsys, mode):
+    # transmit raised a bare OverflowError and steady a generator-norm
+    # SteadyStateError, both exit 1; the drive itself is now refused.
+    monkeypatch.chdir(tmp_path)
+    assert main([mode, "--preset", "fig3-cold", "--omega-c-hz", "1e160"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: invalid drive parameters: the drive power omega_c^2 + "
+        "omega_p^2 overflows: omega_c = 6.28")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -23,6 +23,7 @@ from lambdaloop.core import (
     validate_density_matrix,
 )
 from lambdaloop.liouvillian import circular_template
+from lambdaloop.presets import DRIVE_KEYS, preset_values
 
 
 def to_linear_basis(rho):
@@ -160,6 +161,27 @@ class TestDriveConfig:
             DriveConfig(0.0, 0.0, -1.0, 0.5)
         with pytest.raises(ValueError, match="omega_p must be non-negative"):
             DriveConfig(0.0, 0.0, 1.0, -0.5)
+
+    @pytest.mark.parametrize("omega_c, omega_p", [
+        (1e160, 1.0), (1.0, 1e160), (1e154, 1e154)])
+    def test_unrepresentable_power_rejected(self, omega_c, omega_p):
+        # 1e154 squares to a finite 1e308, but the sum of two overflows.
+        message = (r"^the drive power omega_c\^2 \+ omega_p\^2 overflows: "
+                   r"omega_c = .*, omega_p = .*$")
+        with pytest.raises(ValueError, match=message):
+            DriveConfig(0.0, 0.0, omega_c, omega_p)
+        with pytest.raises(ValueError, match=message):
+            DriveConfig.from_hz(0.0, 0.0, omega_c, omega_p)
+
+    def test_power_just_representable_accepted(self):
+        # 2 * 9e153^2 = 1.62e308, below the largest float, 1.80e308.
+        assert DriveConfig(0.0, 0.0, 9e153, 9e153).omega_p == 9e153
+
+    @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
+    def test_presets_accepted(self, name):
+        values = preset_values(name)
+        drive = DriveConfig.from_hz(*(values[k] for k in DRIVE_KEYS.values()))
+        assert drive == preset_drive(name)
 
     def test_probe_amplitude_carries_phase(self):
         drive = DriveConfig.from_hz(0.0, np.pi / 3, 0.0, 10.0)

@@ -441,7 +441,7 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
             block = np.array((vec, x[:, 0], x[:, 1][_TRANSPOSE].conj()))
             return field_derivative(kappa, block.T).T.ravel()
 
-        state = z_march(rhs, state_in, params.cell_length, n_steps)[-1]
+        state = z_march(rhs, state_in, params.cell_length, n_steps)
         out[i] = to_linear(state[2:4])[1]
     return out
 

@@ -691,9 +691,9 @@ class TestPulse:
         ends = []
 
         def captured(*args, **kwargs):
-            profile = real(*args, **kwargs)
-            ends.append(profile[-1])
-            return profile
+            end = real(*args, **kwargs)
+            ends.append(end)
+            return end
 
         monkeypatch.setattr(spectroscopy, "z_march", captured)
         deltas = [3.0, 7.0, 40.0]

@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CIRCULAR_LABELS, AtomParams, DriveConfig, input_fields
+from .core import (
+    CIRCULAR_LABELS,
+    TWO_PI,
+    AtomParams,
+    DriveConfig,
+    _require_int,
+    input_fields,
+)
 from .presets import ATOM_KEYS, DRIVE_KEYS, from_keys, preset_values
 from .propagation import MIN_STEPS, transmission
 from .liouvillian import circular_template, steady_state_matrix
@@ -52,14 +59,6 @@ STRING_KEYS = {"mode", "preset", "out"}
 ALL_KEYS = FLOAT_KEYS | INT_KEYS | STRING_KEYS
 # The flag of each config key but mode, which names the subcommand.
 _KEY_FLAGS = ["--" + k.replace("_", "-") for k in sorted(ALL_KEYS - {"mode"})]
-
-# Keys that may be omitted because a default exists.
-DEFAULTS = {
-    "carrier_detuning_hz": 0.0,
-    "steps": 256,
-    "out": "run",
-    "n_samples": 1024,
-}
 
 
 class ConfigError(ValueError):
@@ -104,12 +103,18 @@ def _parse_lines(text: str) -> dict:
 
 def _convert(key: str, value: str, line: int | None):
     kind = float if key in FLOAT_KEYS else int if key in INT_KEYS else str
+    where = f"line {line}: " if line is not None else ""
     try:
-        return kind(value)
+        converted = kind(value)
     except ValueError:
-        where = f"line {line}: " if line is not None else ""
         noun = "a number" if kind is float else "an integer"
         raise ConfigError(f"{where}{key} must be {noun}, got {value!r}") from None
+    if kind is int:
+        try:
+            _require_int(key, converted)
+        except ValueError as exc:
+            raise ConfigError(f"{where}{exc}") from None
+    return converted
 
 
 def _resolve(entries: dict) -> RunConfig:
@@ -142,8 +147,11 @@ def _resolve(entries: dict) -> RunConfig:
     if mode not in MODES:
         err("mode", f"mode must be one of {', '.join(MODES)}, got {mode!r}")
 
-    for key, default in DEFAULTS.items():
-        values.setdefault(key, default)
+    # Defaults, each only where a mode reads its key; the pulse keys
+    # default to the values the built PulseSpec takes, below.
+    values.setdefault("out", "run")
+    if mode in Z_MARCH_MODES:
+        values.setdefault("steps", 256)
 
     def build(cls, keys, what):
         """cls from the values; a rejection is reported at the line of the
@@ -171,7 +179,14 @@ def _resolve(entries: dict) -> RunConfig:
             err("points", f"sweep modes need points >= 2, got {values['points']}")
         if not values["sweep_stop"] > values["sweep_start"]:
             err("sweep_stop", "sweep_stop must exceed sweep_start")
-    pulse = build(PulseSpec, PULSE_KEYS, "pulse") if mode == "pulse" else None
+    pulse = None
+    if mode == "pulse":
+        pulse = build(PulseSpec, PULSE_KEYS, "pulse")
+        # The keys left out, at the values the built pulse took for them.
+        for name, key in PULSE_KEYS.items():
+            value = getattr(pulse, name)
+            values.setdefault(key, value / TWO_PI if key.endswith("_hz")
+                              else value)
     return RunConfig(mode, atom, drive, pulse, raw=dict(values))
 
 
@@ -331,6 +346,9 @@ def main(argv=None) -> int:
         return run(_resolve(entries))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # run reads no file, so this is <out> unwritable
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # solver failures -> nonzero exit
         print(f"error: {exc}", file=sys.stderr)

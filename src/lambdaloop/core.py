@@ -52,21 +52,34 @@ def hz_to_angular(value_hz: float) -> float:
     return TWO_PI * value_hz
 
 
+def _require_finite_value(name: str, value) -> None:
+    """Raise ValueError naming name if value is NaN, inf or an integer
+    too large for a float."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _require_finite(config) -> None:
-    """Raise ValueError naming the first numeric field that is NaN or inf."""
+    """Raise ValueError naming the first numeric field that is NaN, inf
+    or an integer too large for a float."""
     for f in dataclass_fields(config):
-        value = getattr(config, f.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        _require_finite_value(f.name, getattr(config, f.name))
 
 
 def _require_int(name: str, value) -> int:
     """value as an int, numpy integers included; any other value, 20.0
-    among them, raises ValueError naming name."""
+    among them, or an integer too large for a float raises ValueError
+    naming name."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    _require_finite_value(name, value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -148,7 +161,9 @@ class DriveConfig:
             raise ValueError(
                 "the drive power omega_c^2 + omega_p^2 overflows: "
                 f"omega_c = {self.omega_c!r}, omega_p = {self.omega_p!r}")
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
+        # A phi just below 0 leaves a remainder that rounds up to TWO_PI.
+        phi = self.phi % TWO_PI
+        object.__setattr__(self, "phi", 0.0 if phi == TWO_PI else phi)
 
     @classmethod
     def from_hz(cls, delta_b_hz, phi_rad, omega_c_hz, omega_p_hz,

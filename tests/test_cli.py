@@ -317,6 +317,41 @@ def test_main_reports_unreadable_config(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_main_reports_unwritable_output(tmp_path, capsys):
+    # A failed write is no solver failure (exit 1 names a z or a delta).
+    out = tmp_path / "no-such-dir" / "x"
+    assert main(["steady", "--preset", "fig3-cold", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write output: [Errno 2] No such file or directory: "
+        f"{str(out) + '.csv'!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("mode, key, lines", [
+    ("transmit", "steps", ""),
+    ("pulse", "n_samples", "fwhm_s = 0.005\npeak_omega_p_hz = 5e3\n"),
+], ids=["steps", "n_samples"])
+def test_integer_too_large_for_a_float_reports_its_line(
+        tmp_path, monkeypatch, capsys, mode, key, lines):
+    # Both used to exit 1: "error: int too large to convert to float".
+    monkeypatch.chdir(tmp_path)
+    message = f"{key} is an integer too large for a float"
+    flag = "--" + key.replace("_", "-")
+    config = tmp_path / "huge.cfg"
+    config.write_text("preset = fig3-cold\nod = 0\n" + lines
+                      + f"{key} = {HUGE}\n")
+    line = 3 + lines.count("\n")
+    assert main([mode, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+    config.write_text("preset = fig3-cold\nod = 0\n" + lines)
+    assert main([mode, "--config", str(config), flag, HUGE]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize("grid, line, nyquist", [
     ("time_window_s = 5.0\nn_samples = 256\n", 5, "25.6"),
     ("time_window_s = 5.0\n", 4, "102"),
@@ -395,6 +430,44 @@ def test_sidecar_records_n_steps_only_for_z_marches(tmp_path, mode):
         assert "n_steps" not in diagnostics
     else:
         assert diagnostics["n_steps"] == 32
+
+
+PULSE_DEFAULTS = {"carrier_detuning_hz": 0.0, "time_window_s": 0.04,
+                  "n_samples": 1024}
+
+
+@pytest.mark.parametrize("mode, recorded", [
+    ("steady", {}),
+    ("spectrum", {}),
+    ("transmit", {"steps": 256}),
+    ("sweep-phase", {"steps": 256}),
+    ("sweep-b", {"steps": 256}),
+    ("pulse", {"steps": 256, **PULSE_DEFAULTS}),
+])
+def test_sidecar_records_the_defaults_the_run_read(tmp_path, mode, recorded):
+    # Each defaulted key the mode reads, at the value it read (the pulse
+    # window is 8 * fwhm), and no default of a key it does not read.
+    out = tmp_path / mode
+    run(parse_config(
+        f"mode = {mode}\npreset = fig3-cold\nod = 0\nsweep_start = -1\n"
+        "sweep_stop = 1\npoints = 2\nfwhm_s = 0.005\n"
+        f"peak_omega_p_hz = 5e3\nout = {out}\n"))
+    config = _sidecar(out)["config"]
+    for key in ("steps", *PULSE_DEFAULTS):
+        assert config.get(key) == recorded.get(key), key
+        assert type(config.get(key)) is type(recorded.get(key)), key
+
+
+def test_pulse_sidecar_keeps_explicit_pulse_keys(tmp_path):
+    out = tmp_path / "pulse"
+    run(parse_config(
+        "mode = pulse\npreset = fig3-cold\nod = 0\nfwhm_s = 0.005\n"
+        "peak_omega_p_hz = 5e3\ntime_window_s = 0.05\nn_samples = 512\n"
+        f"carrier_detuning_hz = 3\nsteps = 32\nout = {out}\n"))
+    config = _sidecar(out)["config"]
+    assert {key: config[key] for key in ("steps", *PULSE_DEFAULTS)} == {
+        "steps": 32, "carrier_detuning_hz": 3.0, "time_window_s": 0.05,
+        "n_samples": 512}
 
 
 @pytest.mark.parametrize("mode", ["transmit", "sweep-phase", "sweep-b"])

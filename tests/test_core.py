@@ -152,9 +152,19 @@ class TestNonFiniteRejected:
 
 class TestDriveConfig:
     def test_phi_reduced(self):
-        drive = DriveConfig(0.0, 7.5, 1.0, 0.5)
-        assert 0.0 <= drive.phi < 2 * np.pi
-        assert drive.phi == pytest.approx(7.5 - 2 * np.pi)
+        # phi % 2pi of a phi just below 0 rounds up to 2pi itself.
+        for phi, reduced in ((7.5, 7.5 - 2 * np.pi), (-1e-17, 0.0),
+                             (-5e-324, 0.0)):
+            drive = DriveConfig(0.0, phi, 1.0, 0.5)
+            assert 0.0 <= drive.phi < 2 * np.pi, phi
+            assert drive.phi == pytest.approx(reduced, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_integer_too_large_for_a_float_rejected(self, sign):
+        # math.isfinite(10**400) raises a bare OverflowError.
+        with pytest.raises(ValueError, match=(
+                "^omega_c is an integer too large for a float$")):
+            DriveConfig(0.0, 0.0, sign * 10**400, 0.5)
 
     def test_negative_rabi_rejected(self):
         with pytest.raises(ValueError, match="omega_c must be non-negative"):

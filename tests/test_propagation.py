@@ -511,6 +511,16 @@ def test_every_march_rejects_a_non_integer_grid(monkeypatch, march, n_steps,
         f"^n_steps must be an integer, got {re.escape(repr(n_steps))}$")
 
 
+@EVERY_MARCH
+@EVERY_CELL
+def test_every_march_rejects_a_grid_too_large_for_a_float(monkeypatch, march,
+                                                          preset):
+    # length / n_steps used to raise a bare OverflowError.
+    _rejected_before_any_work(
+        monkeypatch, march, 10**400, preset,
+        "^n_steps is an integer too large for a float$")
+
+
 def test_numpy_integer_grid_accepted(cold_atom, cold_drive):
     assert transmission(cold_atom, cold_drive, np.int64(16)) == transmission(
         cold_atom, cold_drive, 16)

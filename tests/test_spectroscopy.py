@@ -585,6 +585,14 @@ class TestPulse:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PulseSpec(fwhm=1e-3, peak_omega_p=1.0, n_samples=n_samples)
 
+    @pytest.mark.parametrize("n_samples", [10**400, -10**400],
+                             ids=["positive", "negative"])
+    def test_sample_count_too_large_for_a_float_rejected(self, n_samples):
+        # _require_finite used to raise a bare OverflowError.
+        with pytest.raises(ValueError, match=(
+                "^n_samples is an integer too large for a float$")):
+            PulseSpec(fwhm=1e-3, peak_omega_p=1.0, n_samples=n_samples)
+
     def test_numpy_integer_sample_count_accepted(self):
         spec = PulseSpec(fwhm=1e-3, peak_omega_p=1.0, n_samples=np.int64(512))
         assert spec.times.shape == (512,)

@@ -287,14 +287,18 @@ MODES = tuple(RUNNERS)
 
 
 def run(config: RunConfig) -> int:
-    """Execute a run and write <out>.csv plus <out>.json."""
+    """Execute a run and write <out>.csv plus <out>.json; an output that
+    cannot be written raises ConfigError."""
     diagnostics: dict = {"mode": config.mode}
     if config.mode in Z_MARCH_MODES:
         diagnostics["n_steps"] = config.raw["steps"]
     header, rows = RUNNERS[config.mode](config, diagnostics)
     out = config.raw["out"]
-    _write_csv(f"{out}.csv", header, rows)
-    _write_sidecar(f"{out}.json", config, diagnostics)
+    try:
+        _write_csv(f"{out}.csv", header, rows)
+        _write_sidecar(f"{out}.json", config, diagnostics)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
     return 0
 
 
@@ -346,9 +350,6 @@ def main(argv=None) -> int:
         return run(_resolve(entries))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # run reads no file, so this is <out> unwritable
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # solver failures -> nonzero exit
         print(f"error: {exc}", file=sys.stderr)

@@ -10,9 +10,11 @@ diagnostics.  Identical configurations produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -288,7 +290,8 @@ MODES = tuple(RUNNERS)
 
 def run(config: RunConfig) -> int:
     """Execute a run and write <out>.csv plus <out>.json; an output that
-    cannot be written raises ConfigError."""
+    cannot be written raises ConfigError, and a CSV whose sidecar cannot
+    be written is removed."""
     diagnostics: dict = {"mode": config.mode}
     if config.mode in Z_MARCH_MODES:
         diagnostics["n_steps"] = config.raw["steps"]
@@ -296,7 +299,12 @@ def run(config: RunConfig) -> int:
     out = config.raw["out"]
     try:
         _write_csv(f"{out}.csv", header, rows)
-        _write_sidecar(f"{out}.json", config, diagnostics)
+        try:
+            _write_sidecar(f"{out}.json", config, diagnostics)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.remove(f"{out}.csv")
+            raise
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc
     return 0

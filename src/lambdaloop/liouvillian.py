@@ -143,6 +143,36 @@ def circular_template(params: AtomParams) -> GeneratorTemplate:
     return GeneratorTemplate(basis)
 
 
+def _hermitian_basis() -> np.ndarray:
+    """The unitary T taking row-major vec(rho) to real coordinates.
+
+    Rows 0-3 read the populations rho_ii, rows 4-9 sqrt(2) Re rho_ij and
+    rows 10-15 sqrt(2) Im rho_ij over the pairs i < j in row-major order,
+    so T vec(rho) is real for Hermitian rho: T P = conj(T) for the
+    transpose permutation P, vec(M) -> vec(M^T).  With D(v) = P conj(v),
+    the map vec(M) -> vec(M^dagger), a superoperator L with D L D = L has
+    P conj(L) P = L, so conj(T L T^dagger) = T P conj(L) P T^dagger =
+    T L T^dagger is real.  Every generator of circular_template is such
+    an L: D maps the static and Zeeman pieces to themselves and each
+    drive piece to its _conj partner, so T X T^dagger of a drive piece X
+    is the complex conjugate of T Y T^dagger for its partner Y.
+    """
+    pairs = [(i, j) for i in range(DIM) for j in range(i + 1, DIM)]
+    t = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
+    t[range(DIM), range(0, DIM * DIM, DIM + 1)] = 1.0
+    s = math.sqrt(0.5)
+    for k, (i, j) in enumerate(pairs):
+        re, im = DIM + k, DIM + len(pairs) + k
+        t[re, DIM * i + j] = t[re, DIM * j + i] = s
+        t[im, DIM * i + j], t[im, DIM * j + i] = -1j * s, 1j * s
+    t.flags.writeable = False
+    return t
+
+
+#: Read-only 16x16 unitary to real Hermitian coordinates (_hermitian_basis).
+HERMITIAN_BASIS = _hermitian_basis()
+
+
 def nullspace_dimension(generator: np.ndarray) -> int:
     """Number of singular values below NULLSPACE_REL_TOL times the
     largest."""

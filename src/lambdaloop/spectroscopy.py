@@ -69,6 +69,7 @@ from .core import (
     DriveConfig,
     TWO_PI,
     _require_finite,
+    _require_finite_value,
     _require_int,
     check_grid,
     hz_to_angular,
@@ -77,6 +78,7 @@ from .core import (
     to_linear,
 )
 from .liouvillian import (
+    HERMITIAN_BASIS,
     SteadyStateError,
     circular_template,
     generator_norm,
@@ -340,8 +342,10 @@ def chi_probe_timedomain(params: AtomParams, drive: DriveConfig,
     coefficient of rho_1X + rho_2Y over an integer number of beat
     periods.  The frozen-phase staircase leaves an error linear in the
     step size, removed by one Richardson extrapolation (run at n and 2n
-    steps per period).  Independent of the harmonic-balance linear
-    solve.  periods and steps_per_period must be positive integers,
+    steps per period).  It steps in real Hermitian coordinates,
+    liouvillian.HERMITIAN_BASIS, where every midpoint generator is a
+    real matrix: one real expm and one real product per step.
+    Independent of the harmonic-balance linear solve.  periods and steps_per_period must be positive integers,
     sideband_fraction finite and positive, and omega_c or omega_p nonzero
     (the sideband is that fraction of omega_p, or else of omega_c); a bad
     argument raises ValueError naming it before anything is solved.
@@ -361,28 +365,39 @@ def chi_probe_timedomain(params: AtomParams, drive: DriveConfig,
         raise ValueError("the lock-in oracle needs a field: omega_c and "
                          "omega_p are both 0")
     delta = hz_to_angular(delta_hz)
-    gen0, rho_start, up, dn = _operating_point(params, drive)
+    gen0, vec0, up, _ = _operating_point(params, drive)
     eta = sideband_fraction * (drive.omega_p or drive.omega_c)
     settle_time = 10.0 / min(params.gamma_pop, params.gamma_coh)
+
+    # Real Hermitian coordinates: T gen T^dagger is real, and the image of
+    # the probe_conj piece is the conjugate of up_r, so the sideband term
+    # eta (exp(-i theta) up_r + exp(i theta) conj(up_r)) is
+    # 2 eta (cos(theta) Re(up_r) + sin(theta) Im(up_r)).
+    t_dag = HERMITIAN_BASIS.conj().T
+    g0 = (HERMITIAN_BASIS @ gen0 @ t_dag).real
+    up_r = HERMITIAN_BASIS @ up @ t_dag
+    rho_start = (HERMITIAN_BASIS @ vec0).real
+    probe_row = _PROBE_ROW @ t_dag
 
     legs = []
     for steps in (steps_per_period, 2 * steps_per_period):
         dt = TWO_PI / abs(delta) / steps
         settle_steps = int(math.ceil(settle_time / dt))
         n = periods * steps
+        g0_dt = g0 * dt
+        cos_piece = (2.0 * eta * dt) * up_r.real
+        sin_piece = (2.0 * eta * dt) * up_r.imag
         rho = rho_start
         t = 0.0
         acc = 0.0 + 0.0j
         for k in range(settle_steps + n):
-            t_mid = t + 0.5 * dt
-            gen = gen0 + eta * (
-                np.exp(-1j * delta * t_mid) * up
-                + np.exp(1j * delta * t_mid) * dn
-            )
-            rho = expm(gen * dt) @ rho
+            theta = delta * (t + 0.5 * dt)
+            rho = expm(g0_dt + math.cos(theta) * cos_piece
+                       + math.sin(theta) * sin_piece).dot(rho)
             t += dt
             if k >= settle_steps:
-                acc += (_PROBE_ROW @ rho) * np.exp(1j * delta * t)
+                acc += probe_row.dot(rho) * complex(math.cos(delta * t),
+                                                    math.sin(delta * t))
         legs.append(acc / n)
     coarse, fine = legs
     return CHI_SIGN * (2.0 * fine - coarse) / eta
@@ -465,12 +480,12 @@ class PulseSpec:
     n_samples: int = 1024
 
     def __post_init__(self):
-        window = (
-            self.time_window if self.time_window is not None
-            else 8.0 * self.fwhm
-        )
-        object.__setattr__(self, "time_window", window)
+        # fwhm is checked before the default window is computed from it.
+        _require_finite_value("fwhm", self.fwhm)
+        if self.time_window is None:
+            object.__setattr__(self, "time_window", 8.0 * self.fwhm)
         _require_finite(self)
+        window = self.time_window
         if self.fwhm <= 0.0:
             raise ValueError("fwhm must be positive")
         if window < 8.0 * self.fwhm:

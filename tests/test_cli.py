@@ -327,6 +327,16 @@ def test_main_reports_unwritable_output(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unwritable_sidecar_leaves_no_csv(tmp_path, monkeypatch, capsys):
+    # The CSV is written first; it used to stay behind without its sidecar.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.json").mkdir()
+    assert main(["steady", "--preset", "fig3-cold", "--out", "x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write output: [Errno 21] Is a directory: 'x.json'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
+
+
 HUGE = "1" + "0" * 400
 
 

@@ -12,6 +12,7 @@ from lambdaloop import (
     input_fields,
     nullspace_dimension,
     preset_atom,
+    preset_drive,
     steady_state_matrix,
     substitution_image,
 )
@@ -20,6 +21,7 @@ from lambdaloop import liouvillian
 from lambdaloop.liouvillian import (
     COUPLING_FIELD1,
     COUPLING_FIELD2,
+    HERMITIAN_BASIS,
     UPPER_PROJECTOR,
     ZEEMAN_CIRCULAR,
     circular_template,
@@ -28,6 +30,7 @@ from lambdaloop.liouvillian import (
     jump_operators,
     refined_solve,
 )
+from lambdaloop.spectroscopy import _operating_point
 
 UNPOLARIZED = np.diag([0, 0, 0.5, 0.5]).astype(complex)
 
@@ -391,6 +394,53 @@ class TestTimeEvolution:
                            match=f"^t_final must be finite and non-negative, "
                                  f"got {t_final!r}$"):
             evolve_expm(UNPOLARIZED, gen, t_final)
+
+
+class TestHermitianBasis:
+    """The real coordinates the lock-in oracle steps in."""
+
+    PRESETS = [("fig3-cold", 20e3, 5e3), ("fig4-warm", 240e3, 60e3)]
+
+    @staticmethod
+    def similar(gen):
+        return HERMITIAN_BASIS @ gen @ HERMITIAN_BASIS.conj().T
+
+    def test_unitary_and_read_only(self):
+        gram = HERMITIAN_BASIS @ HERMITIAN_BASIS.conj().T
+        assert np.abs(gram - np.eye(16)).max() <= 1e-15
+        assert not HERMITIAN_BASIS.flags.writeable
+
+    def test_hermitian_state_has_real_coordinates(self, rng):
+        # (rho_ii, sqrt(2) Re rho_ij, sqrt(2) Im rho_ij) over i < j.
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = a + a.conj().T
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        expected = np.concatenate([
+            rho.diagonal().real,
+            [np.sqrt(2) * rho[i, j].real for i, j in pairs],
+            [np.sqrt(2) * rho[i, j].imag for i, j in pairs],
+        ])
+        got = HERMITIAN_BASIS @ rho.reshape(-1)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name, oc_hz, op_hz", PRESETS)
+    def test_generator_is_real(self, rng, name, oc_hz, op_hz):
+        params = preset_atom(name)
+        for _ in range(50):
+            gen = circular_generator(params, random_drive(rng, oc_hz, op_hz))
+            image = self.similar(gen)
+            assert np.abs(image.imag).max() <= 1e-15 * np.abs(gen).max()
+
+    @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
+    def test_probe_pieces_are_conjugates(self, name):
+        params = preset_atom(name)
+        _, _, up, dn = _operating_point(params, preset_drive(name))
+        up_r, dn_r = self.similar(up), self.similar(dn)
+        bound = 1e-15 * np.abs(up).max()
+        assert np.abs(up_r - dn_r.conj()).max() <= bound
+        # The sideband term is real only through the pair: up_r itself
+        # is complex.
+        assert np.abs(up_r.imag).max() > 0.1 * np.abs(up).max()
 
 
 class TestSubstitutionImage:

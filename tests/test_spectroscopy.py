@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import COUPLING_PROBE, GROUND_MIX, relative_variation
 from lambdaloop import (
@@ -40,6 +41,34 @@ from lambdaloop.liouvillian import (
 from lambdaloop.spectroscopy import _solve_sideband, apply_transfer, peak_time
 
 STRONG_PROBE = DriveConfig.from_hz(0.0, 0.0, 240e3, 120e3)
+
+
+def complex_lock_in(params, drive, delta_hz, periods, steps_per_period,
+                    sideband_fraction=0.02):
+    """chi_probe_timedomain's leg loop in complex vec(rho) coordinates:
+    both probe pieces, one complex midpoint generator and one complex
+    expm per step, and numpy phase factors."""
+    delta = hz_to_angular(delta_hz)
+    gen0, rho_start, up, dn = spectroscopy._operating_point(params, drive)
+    eta = sideband_fraction * (drive.omega_p or drive.omega_c)
+    settle_time = 10.0 / min(params.gamma_pop, params.gamma_coh)
+    legs = []
+    for steps in (steps_per_period, 2 * steps_per_period):
+        dt = 2.0 * np.pi / abs(delta) / steps
+        settle_steps = int(np.ceil(settle_time / dt))
+        n = periods * steps
+        rho, t, acc = rho_start, 0.0, 0.0j
+        for k in range(settle_steps + n):
+            t_mid = t + 0.5 * dt
+            gen = gen0 + eta * (np.exp(-1j * delta * t_mid) * up
+                                + np.exp(1j * delta * t_mid) * dn)
+            rho = expm(gen * dt) @ rho
+            t += dt
+            if k >= settle_steps:
+                acc += (spectroscopy._PROBE_ROW @ rho) * np.exp(1j * delta * t)
+        legs.append(acc / n)
+    coarse, fine = legs
+    return spectroscopy.CHI_SIGN * (2.0 * fine - coarse) / eta
 
 
 def spectrum_for(params, drive, grid_hz):
@@ -121,6 +150,18 @@ class TestOracleAgreement:
         b = chi_probe_timedomain(warm_atom, drive, 20.0,
                                  sideband_fraction=0.01)
         assert abs(a - b) / abs(a) < 0.005
+
+    @pytest.mark.parametrize("delta_hz", [-15.0, 20.0])
+    @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
+    def test_real_coordinates_match_complex_loop(self, name, delta_hz):
+        # The oracle steps in liouvillian.HERMITIAN_BASIS coordinates; the
+        # same staircase in complex coordinates differs only by rounding
+        # amplified through the stiff exponentials: 5.9e-7 at most here.
+        params, drive = preset_atom(name), preset_drive(name)
+        got = chi_probe_timedomain(params, drive, delta_hz, periods=1,
+                                   steps_per_period=16)
+        want = complex_lock_in(params, drive, delta_hz, 1, 16)
+        assert abs(got - want) <= 1e-5 * abs(want)
 
     def test_rejects_zero_detuning(self, warm_atom, warm_drive):
         with pytest.raises(ValueError, match="nonzero"):
@@ -592,6 +633,13 @@ class TestPulse:
         with pytest.raises(ValueError, match=(
                 "^n_samples is an integer too large for a float$")):
             PulseSpec(fwhm=1e-3, peak_omega_p=1.0, n_samples=n_samples)
+
+    @pytest.mark.parametrize("time_window", [None, 1.0])
+    def test_fwhm_too_large_for_a_float_rejected(self, time_window):
+        # The default window 8 * fwhm raised a bare OverflowError.
+        with pytest.raises(ValueError, match=(
+                "^fwhm is an integer too large for a float$")):
+            PulseSpec(fwhm=10**400, peak_omega_p=1.0, time_window=time_window)
 
     def test_numpy_integer_sample_count_accepted(self):
         spec = PulseSpec(fwhm=1e-3, peak_omega_p=1.0, n_samples=np.int64(512))

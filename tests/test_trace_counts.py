@@ -9,6 +9,7 @@ counts; these tests fail on that at once instead of in a benchmark run.
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lambdaloop
@@ -85,21 +86,43 @@ def test_readme_pulse_counts(tracer, tmp_path, monkeypatch):
     assert tracer.edges[TRANSFER, SSM] == 37 * 4 * 16
 
 
-def test_lock_in_expm_calls(tracer, warm_atom, warm_drive):
-    delta_hz, periods = -15.0, 1
-    lambdaloop.spectroscopy.chi_probe_timedomain(
-        warm_atom, warm_drive, delta_hz, periods=periods, steps_per_period=16
-    )
-    # Each Richardson leg settles for ceil(settle / dt) steps and then
-    # takes periods * n lock-in steps, one expm each, at n = 16 and 32.
-    settle = 10.0 / min(warm_atom.gamma_pop, warm_atom.gamma_coh)
+def lock_in_expm_calls(atom, delta_hz, periods, n):
+    """Each Richardson leg settles for ceil(settle / dt) steps and then
+    takes periods * n lock-in steps, one expm each, at n and 2n."""
+    settle = 10.0 / min(atom.gamma_pop, atom.gamma_coh)
     expected = 0
-    for n in (16, 32):
-        dt = TWO_PI / abs(TWO_PI * delta_hz) / n
-        expected += math.ceil(settle / dt) + periods * n
+    for steps in (n, 2 * n):
+        dt = TWO_PI / abs(TWO_PI * delta_hz) / steps
+        expected += math.ceil(settle / dt) + periods * steps
+    return expected
+
+
+def test_lock_in_expm_calls(tracer, warm_atom, warm_drive):
+    lambdaloop.spectroscopy.chi_probe_timedomain(
+        warm_atom, warm_drive, -15.0, periods=1, steps_per_period=16
+    )
+    expected = lock_in_expm_calls(warm_atom, -15.0, 1, 16)
     assert tracer.stats[LOCK_IN].calls == 1
     assert tracer.stats[EXPM].calls == expected
     assert tracer.edges[LOCK_IN, EXPM] == expected
+
+
+def test_lock_in_expm_arguments_are_real(monkeypatch, warm_atom, warm_drive):
+    # The oracle steps in real Hermitian coordinates: every exponential
+    # is of a real 16x16 generator, one per step as before.
+    seen = []
+    expm = lambdaloop.spectroscopy.expm
+
+    def recording(a):
+        seen.append((a.dtype, a.shape))
+        return expm(a)
+
+    monkeypatch.setattr(lambdaloop.spectroscopy, "expm", recording)
+    lambdaloop.spectroscopy.chi_probe_timedomain(
+        warm_atom, warm_drive, 20.0, periods=1, steps_per_period=16
+    )
+    assert len(seen) == lock_in_expm_calls(warm_atom, 20.0, 1, 16)
+    assert set(seen) == {(np.dtype(np.float64), (16, 16))}
 
 
 def test_bare_transition_makes_no_expm_call(tracer, warm_atom):

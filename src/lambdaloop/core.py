@@ -52,15 +52,17 @@ def hz_to_angular(value_hz: float) -> float:
     return TWO_PI * value_hz
 
 
-def _require_finite_value(name: str, value) -> None:
-    """Raise ValueError naming name if value is NaN, inf or an integer
-    too large for a float."""
+def _require_finite_value(name: str, value) -> float:
+    """value as a float; NaN, inf or an integer too large for a float
+    raises ValueError naming name.  The one finiteness check on a
+    number from a caller."""
     try:
         finite = math.isfinite(value)
     except OverflowError:
         raise ValueError(f"{name} is an integer too large for a float") from None
     if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 def _require_finite(config) -> None:
@@ -256,19 +258,18 @@ def validate_density_matrix(rho: np.ndarray) -> None:
         raise ValueError(f"negative eigenvalue {eigs[0]:.3e} below floor")
 
 
-def check_grid(xs: np.ndarray, name: str) -> None:
-    """Raise ValueError unless the 1-D float array xs is non-empty,
-    finite and strictly increasing; name labels xs in the message."""
+def check_grid(xs, name: str) -> np.ndarray:
+    """xs as a 1-D float array; unless xs is non-empty, finite entry by
+    entry and strictly increasing, ValueError labels it by name."""
+    # tolist: a message shows nan, not np.float64(nan); a huge int stays.
+    xs = np.array([_require_finite_value(f"{name} values", x)
+                   for x in np.asarray(xs).tolist()])
     if not len(xs):
         raise ValueError(f"{name} must be non-empty: at least one point "
                          "is required")
-    finite = np.isfinite(xs)
-    if not finite.all():
-        raise ValueError(f"{name} values must be finite, got "
-                         f"{float(xs[~finite][0])!r}")
-    # Checked after finiteness: every comparison with NaN is false.
     if np.any(xs[1:] <= xs[:-1]):
         raise ValueError(f"{name} values must be strictly increasing")
+    return xs
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,12 +281,10 @@ class Curve:
     ys: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
         ys = np.asarray(self.ys)
-        if xs.ndim != 1 or ys.shape != xs.shape:
+        if np.ndim(self.xs) != 1 or ys.shape != np.shape(self.xs):
             raise ValueError("xs and ys must be 1-D of equal length")
-        check_grid(xs, "abscissa")
-        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "xs", check_grid(self.xs, "abscissa"))
         object.__setattr__(self, "ys", ys)
 
     def __len__(self):

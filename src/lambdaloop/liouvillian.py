@@ -28,6 +28,7 @@ from .core import (
     AtomParams,
     DriveConfig,
     SimulationError,
+    _require_finite_value,
     validate_density_matrix,
 )
 
@@ -311,6 +312,7 @@ def evolve_expm(rho0: np.ndarray, generator: np.ndarray,
     if not 0.0 <= t_final < math.inf:
         raise ValueError(
             f"t_final must be finite and non-negative, got {t_final!r}")
+    t_final = _require_finite_value("t_final", t_final)
     vec = np.array(rho0, dtype=complex).reshape(-1)
     propagator = expm(generator * t_final)
     rho = (propagator @ vec).reshape(DIM, DIM)

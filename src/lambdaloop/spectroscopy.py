@@ -116,33 +116,28 @@ class WeakProbeWarning(UserWarning):
 
 
 def phase_grid(n_points: int) -> tuple:
-    """Standard [0, 2*pi) phase grid, endpoint excluded."""
+    """Standard [0, 2*pi) phase grid, endpoint excluded; n_points must be
+    a positive integer."""
+    if _require_int("n_points", n_points) <= 0:
+        raise ValueError(f"n_points must be positive, got {n_points!r}")
     return tuple(np.linspace(0.0, TWO_PI, n_points, endpoint=False))
-
-
-def _checked_grid(grid) -> tuple:
-    """The sweep grid as floats; it must be non-empty, finite and strictly
-    increasing.  Runs before anything is solved."""
-    grid = tuple(float(x) for x in grid)
-    check_grid(np.array(grid), "sweep grid")
-    return grid
 
 
 def sweep_phase(params: AtomParams, drive: DriveConfig, phases,
                 n_steps: int = 256) -> Curve:
     """Probe transmission against the input relative phase (radians)."""
-    phases = _checked_grid(phases)
+    phases = check_grid(phases, "sweep grid")
     ys = [transmission(params, replace(drive, phi=phi), n_steps)
-          for phi in phases]
+          for phi in phases.tolist()]
     return Curve("phi_rad", phases, ys)
 
 
 def sweep_bfield(params: AtomParams, drive: DriveConfig, fields_hz,
                  n_steps: int = 256) -> Curve:
     """Probe transmission against the Zeeman splitting (grid in Hz)."""
-    fields_hz = _checked_grid(fields_hz)
+    fields_hz = check_grid(fields_hz, "sweep grid")
     ys = [transmission(params, replace(drive, delta_b=hz_to_angular(db_hz)),
-                       n_steps) for db_hz in fields_hz]
+                       n_steps) for db_hz in fields_hz.tolist()]
     return Curve("delta_b_hz", fields_hz, ys)
 
 
@@ -281,8 +276,8 @@ def refractive_spectrum(params: AtomParams, drive: DriveConfig,
     Runs the truncation estimate of weak_probe_response at every sample
     and warns once, with the worst estimate and its detuning.
     """
-    deltas_hz = _checked_grid(deltas_hz)
-    chis = _chi_samples(params, drive, [hz_to_angular(d) for d in deltas_hz])
+    deltas_hz = check_grid(deltas_hz, "sweep grid")
+    chis = _chi_samples(params, drive, hz_to_angular(deltas_hz).tolist())
     return Curve("delta_hz", deltas_hz, chis)
 
 
@@ -298,10 +293,13 @@ class SlopeFit:
 def group_velocity_class(spectrum: Curve, window_hz: float = 10.0) -> SlopeFit:
     """Classify slow/fast/flat light from the dispersion slope.
 
-    Fits Re(y) over the points with |x| <= window_hz.  A rising slope
-    means the group index exceeds unity (slow light).  The flat band is
-    1e-3 of the spectrum's peak |Re| per window width.
+    Fits Re(y) over the points with |x| <= window_hz, which must be finite
+    and positive.  A rising slope means the group index exceeds unity
+    (slow light).  The flat band is 1e-3 of the spectrum's peak |Re| per
+    window width.
     """
+    if not _require_finite_value("window_hz", window_hz) > 0.0:
+        raise ValueError(f"window_hz must be positive, got {window_hz!r}")
     xs = spectrum.xs
     ys = np.real(spectrum.ys)
     mask = np.abs(xs) <= window_hz
@@ -344,23 +342,25 @@ def chi_probe_timedomain(params: AtomParams, drive: DriveConfig,
     step size, removed by one Richardson extrapolation (run at n and 2n
     steps per period).  It steps in real Hermitian coordinates,
     liouvillian.HERMITIAN_BASIS, where every midpoint generator is a
-    real matrix: one real expm and one real product per step.
-    Independent of the harmonic-balance linear solve.  periods and steps_per_period must be positive integers,
-    sideband_fraction finite and positive, and omega_c or omega_p nonzero
-    (the sideband is that fraction of omega_p, or else of omega_c); a bad
-    argument raises ValueError naming it before anything is solved.
+    real matrix: one real expm and one real product per step.  delta_hz
+    must be finite and nonzero, periods and steps_per_period positive
+    integers, sideband_fraction finite and positive, and omega_c or
+    omega_p nonzero (the sideband is that fraction of omega_p, or else of
+    omega_c); a bad argument raises ValueError naming it before anything
+    is solved.
     """
-    if not math.isfinite(delta_hz):
-        raise ValueError(f"delta_hz must be finite, got {delta_hz!r}")
+    delta_hz = _require_finite_value("delta_hz", delta_hz)
     if delta_hz == 0.0:
         raise ValueError("the lock-in oracle needs a nonzero detuning")
     for name, value in (("periods", periods),
                         ("steps_per_period", steps_per_period)):
         if _require_int(name, value) <= 0:
             raise ValueError(f"{name} must be positive, got {value!r}")
-    if not (math.isfinite(sideband_fraction) and sideband_fraction > 0.0):
+    if not 0.0 < sideband_fraction < math.inf:
         raise ValueError("sideband_fraction must be finite and positive, "
                          f"got {sideband_fraction!r}")
+    sideband_fraction = _require_finite_value("sideband_fraction",
+                                              sideband_fraction)
     if drive.omega_p == drive.omega_c == 0.0:
         raise ValueError("the lock-in oracle needs a field: omega_c and "
                          "omega_p are both 0")
@@ -421,13 +421,11 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
     carrier solve or a diverging state raises PropagationError naming z.
     """
     check_steps(n_steps)
-    deltas = np.atleast_1d(np.asarray(deltas_hz, dtype=float))
-    bad = deltas[~np.isfinite(deltas)]
-    if bad.size:
-        raise ValueError(f"deltas_hz must be finite, got {float(bad[0])!r}")
+    deltas = [_require_finite_value("deltas_hz", d)
+              for d in np.atleast_1d(deltas_hz).tolist()]
     kappa = calibrate_kappa(params)
     if kappa == 0.0:
-        return np.ones(deltas.shape, dtype=complex)
+        return np.ones(len(deltas), dtype=complex)
 
     template = circular_template(params)
     # drive_a, drive_a_conj, drive_b, drive_b_conj as one (64, 16) map.
@@ -438,9 +436,9 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
     # The state entries of the seed coefficients c = (e1, f1, e2, f2).
     seed_index = np.array([2, 4, 3, 5])
 
-    out = np.empty(deltas.shape, dtype=complex)
+    out = np.empty(len(deltas), dtype=complex)
     for i, d_hz in enumerate(deltas):
-        delta = hz_to_angular(float(d_hz))
+        delta = hz_to_angular(d_hz)
 
         def rhs(state, z):
             gen, vec = carrier_stage(template, drive.delta_b, state, z)
@@ -480,10 +478,13 @@ class PulseSpec:
     n_samples: int = 1024
 
     def __post_init__(self):
-        # fwhm is checked before the default window is computed from it.
+        # fwhm is checked before the default window is computed from it,
+        # and a default window that overflows is named as 8 * fwhm: the
+        # caller set fwhm, not time_window.
         _require_finite_value("fwhm", self.fwhm)
         if self.time_window is None:
-            object.__setattr__(self, "time_window", 8.0 * self.fwhm)
+            object.__setattr__(self, "time_window", _require_finite_value(
+                "the default time_window, 8 * fwhm,", 8.0 * self.fwhm))
         _require_finite(self)
         window = self.time_window
         if self.fwhm <= 0.0:

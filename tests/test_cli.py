@@ -337,6 +337,21 @@ def test_unwritable_sidecar_leaves_no_csv(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
 
 
+def test_overflowing_default_window_reports_the_fwhm_line(
+        tmp_path, monkeypatch, capsys):
+    # No time_window_s, so the default 8 * fwhm overflows; the error is
+    # reported at the fwhm_s line, the key the config set.
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "wide.cfg"
+    config.write_text("preset = fig4-warm\nfwhm_s = 1e308\n"
+                      "peak_omega_p_hz = 60e3\n")
+    assert main(["pulse", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: invalid pulse parameters: the default time_window, "
+        "8 * fwhm, must be finite, got inf\n")
+    assert not list(tmp_path.glob("run.*"))
+
+
 HUGE = "1" + "0" * 400
 
 

@@ -375,8 +375,27 @@ class TestGroupVelocityClass:
         with pytest.raises(ValueError, match="at least 5"):
             group_velocity_class(curve, window_hz=20.0)
 
+    @pytest.mark.parametrize("window_hz", [0, -1.0])
+    def test_window_must_be_positive(self, window_hz):
+        # A window that holds no point is its own error, not a shortage
+        # of points.
+        with pytest.raises(ValueError, match=(
+                f"^window_hz must be positive, got {window_hz!r}$")):
+            group_velocity_class(self.synthetic(2.0), window_hz)
+
 
 class TestSweeps:
+    @pytest.mark.parametrize("n_points, message", [
+        (0, "n_points must be positive, got 0"),
+        (-1, "n_points must be positive, got -1"),
+        (2.5, "n_points must be an integer, got 2.5"),
+    ], ids=["zero", "negative", "fraction"])
+    def test_phase_grid_needs_a_positive_count(self, n_points, message):
+        # Left to numpy, 0 gives an empty grid, -1 numpy's own message
+        # and 2.5 a bare TypeError.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            phase_grid(n_points)
+
     def test_cold_modulation_ordering(self, cold_atom):
         grid = phase_grid(8)
         depths = {}
@@ -640,6 +659,13 @@ class TestPulse:
         with pytest.raises(ValueError, match=(
                 "^fwhm is an integer too large for a float$")):
             PulseSpec(fwhm=10**400, peak_omega_p=1.0, time_window=time_window)
+
+    def test_default_window_overflow_names_fwhm(self):
+        # 8 * 1e308 is inf; the caller set fwhm, not time_window.
+        with pytest.raises(ValueError, match=(
+                r"^the default time_window, 8 \* fwhm, must be finite, "
+                "got inf$")):
+            PulseSpec(fwhm=1e308, peak_omega_p=1.0)
 
     def test_numpy_integer_sample_count_accepted(self):
         spec = PulseSpec(fwhm=1e-3, peak_omega_p=1.0, n_samples=np.int64(512))

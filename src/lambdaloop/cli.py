@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -26,6 +25,7 @@ from .core import (
     TWO_PI,
     AtomParams,
     DriveConfig,
+    _require_finite_value,
     _require_int,
     input_fields,
 )
@@ -175,8 +175,10 @@ def _resolve(entries: dict) -> RunConfig:
         err("steps", f"steps must be >= {MIN_STEPS}, got {values['steps']}")
     if mode in SWEEP_MODES:
         for key in ("sweep_start", "sweep_stop"):
-            if not math.isfinite(values[key]):
-                err(key, f"{key} must be finite, got {values[key]!r}")
+            try:
+                _require_finite_value(key, values[key])
+            except ValueError as exc:
+                err(key, str(exc))
         if values["points"] < 2:
             err("points", f"sweep modes need points >= 2, got {values['points']}")
         if not values["sweep_stop"] > values["sweep_start"]:

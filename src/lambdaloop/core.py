@@ -262,7 +262,7 @@ def check_grid(xs, name: str) -> np.ndarray:
     """xs as a 1-D float array; unless xs is non-empty, finite entry by
     entry and strictly increasing, ValueError labels it by name."""
     # tolist: a message shows nan, not np.float64(nan); a huge int stays.
-    xs = np.array([_require_finite_value(f"{name} values", x)
+    xs = np.array([_require_finite_value(f"{name} value", x)
                    for x in np.asarray(xs).tolist()])
     if not len(xs):
         raise ValueError(f"{name} must be non-empty: at least one point "

@@ -1,4 +1,10 @@
-"""Master-equation generator, steady state and exact time evolution.
+"""Master-equation generator, its two linear solves and exact evolution.
+
+The module owns every solve against the generator L: the carrier steady
+state, L x = 0 at unit trace (steady_state_matrix), and the first-order
+sideband response, (-i*delta - L) x = seed (solve_sideband).  Both
+replace one equation by the norm-scaled trace row where L's kernel makes
+the system singular and solve by LU with one step of refinement.
 
 The Hamiltonian couples each circular field to both excited states,
 
@@ -25,6 +31,7 @@ import numpy as np
 from scipy.linalg import expm, get_lapack_funcs
 
 from .core import (
+    TWO_PI,
     AtomParams,
     DriveConfig,
     SimulationError,
@@ -197,20 +204,20 @@ def refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def generator_norm(generator: np.ndarray) -> float:
+def _generator_norm(generator: np.ndarray) -> float:
     """Frobenius norm of a generator in one pass: inf when the sum of
     squared magnitudes overflows, and NaN or inf when an entry is not
     finite."""
     return math.sqrt(np.vdot(generator, generator).real)
 
 
-def replace_trace_row(a: np.ndarray, scale: float) -> np.ndarray:
+def _replace_trace_row(a: np.ndarray, scale: float) -> np.ndarray:
     """Overwrite row 0 of a 16x16 system with scale times the trace
     functional of a row-major vectorized state, in place.
 
     The replaced equation pins the trace of the solution, which singles
     out one solution of a system whose kernel is the generator's.  Every
-    caller passes the generator's Frobenius norm (generator_norm) as
+    caller passes the generator's Frobenius norm (_generator_norm) as
     scale, which keeps the row on the order of the other rows.  Returns a.
     """
     a[0] = 0.0
@@ -258,10 +265,10 @@ def steady_state_matrix(generator: np.ndarray, *,
     ||generator x|| / ||generator||_F of the refined solution x is folded
     into record["max_steady_residual"] as a running max.
     """
-    norm = generator_norm(generator)
+    norm = _generator_norm(generator)
     if not 0.0 < norm < math.inf:
         raise _unscalable(generator, norm)
-    a = replace_trace_row(generator.copy(), norm)
+    a = _replace_trace_row(generator.copy(), norm)
     # The replaced row's right-hand side; every other equation is
     # homogeneous.
     b = np.zeros(DIM * DIM, dtype=complex)
@@ -299,6 +306,47 @@ def steady_state_matrix(generator: np.ndarray, *,
     except ValueError as exc:
         raise SteadyStateError(f"steady state is unphysical: {exc}") from exc
     return rho
+
+
+@functools.lru_cache(maxsize=8)
+def _detuning_shift(delta_angular: float) -> np.ndarray:
+    """-i*delta*I, read-only, built once per detuning rather than once
+    per solve: a transfer bin solves at one delta in every stage.  Equal
+    detunings, 0.0 and -0.0 among them, give bit-identical shifts."""
+    shift = -1j * delta_angular * np.eye(DIM * DIM, dtype=complex)
+    shift.flags.writeable = False
+    return shift
+
+
+def solve_sideband(generator: np.ndarray, delta: float,
+                   seed: np.ndarray) -> np.ndarray:
+    """Solve (-i*delta - generator) x = seed; trace-replaced on resonance.
+
+    seed is one (16,) right-hand side or a (16, k) block of them, all
+    solved with one factorisation.  At delta = 0 the matrix is singular
+    (the generator kernel); the physical limit is the trace-free
+    solution, which the trace row of steady_state_matrix picks uniquely.
+    A failed or non-finite solve raises SteadyStateError naming delta in Hz.
+    """
+    a = _detuning_shift(delta) - generator
+    if delta == 0.0:
+        _replace_trace_row(a, _generator_norm(generator))
+        seed = seed.copy()
+        seed[0] = 0.0
+    try:
+        vec = refined_solve(a, seed)
+    except np.linalg.LinAlgError as exc:
+        raise SteadyStateError(
+            f"sideband response solve failed at delta = "
+            f"{delta / TWO_PI:.6g} Hz: {exc}"
+        ) from exc
+    # Counting the finite entries costs less per call than .all().
+    if np.count_nonzero(np.isfinite(vec)) != np.size(vec):
+        raise SteadyStateError(
+            f"sideband response diverged at delta = "
+            f"{delta / TWO_PI:.6g} Hz"
+        )
+    return vec
 
 
 def evolve_expm(rho0: np.ndarray, generator: np.ndarray,

@@ -8,7 +8,8 @@ rho_+ exp(-i*delta*t) obeying
 
     (-i*delta - L0) rho_+ = -i [V_p, rho_ss] * eta
 
-with L0 the degenerate generator and V_p the probe coupling operator.
+with L0 the degenerate generator and V_p the probe coupling operator;
+liouvillian.solve_sideband solves it, beside the carrier's steady state.
 The probe is the linear mode Omega_p = (Omega_1 - Omega_2)/sqrt(2) of
 the circular pair, and every probe-mode quantity here is read through
 core.to_linear (its inverse, to_circular, seeds the probe).  With the
@@ -55,7 +56,6 @@ field_derivative call per stage.
 """
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -79,11 +79,8 @@ from .core import (
 )
 from .liouvillian import (
     HERMITIAN_BASIS,
-    SteadyStateError,
     circular_template,
-    generator_norm,
-    refined_solve,
-    replace_trace_row,
+    solve_sideband,
     steady_state_matrix,
 )
 from .propagation import (
@@ -147,45 +144,6 @@ def modulation_depth(curve: Curve) -> float:
     return float(ys.max() - ys.min())
 
 
-@functools.lru_cache(maxsize=8)
-def _detuning_shift(delta_angular: float) -> np.ndarray:
-    """-i*delta*I, read-only, built once per detuning rather than once
-    per solve: a transfer bin solves at one delta in every stage.  Equal
-    detunings, 0.0 and -0.0 among them, give bit-identical shifts."""
-    shift = -1j * delta_angular * np.eye(16, dtype=complex)
-    shift.flags.writeable = False
-    return shift
-
-
-def _solve_sideband(gen, delta_angular, seed):
-    """Solve (-i*delta - gen) x = seed; trace-replaced on resonance.
-
-    seed is one (16,) right-hand side or a (16, k) block of them, all
-    solved with one factorisation.  At delta = 0 the matrix is singular
-    (the generator kernel); the physical limit is the trace-free
-    solution, which the trace row picks uniquely.
-    """
-    a = _detuning_shift(delta_angular) - gen
-    if delta_angular == 0.0:
-        replace_trace_row(a, generator_norm(gen))
-        seed = seed.copy()
-        seed[0] = 0.0
-    try:
-        vec = refined_solve(a, seed)
-    except np.linalg.LinAlgError as exc:
-        raise SteadyStateError(
-            f"sideband response solve failed at delta = "
-            f"{delta_angular / TWO_PI:.6g} Hz: {exc}"
-        ) from exc
-    # Counting the finite entries costs less per call than .all().
-    if np.count_nonzero(np.isfinite(vec)) != np.size(vec):
-        raise SteadyStateError(
-            f"sideband response diverged at delta = "
-            f"{delta_angular / TWO_PI:.6g} Hz"
-        )
-    return vec
-
-
 def _warn_if_strong_probe(drive: DriveConfig, stacklevel: int) -> None:
     """Strong-probe WeakProbeWarning; stacklevel counted from the caller."""
     if drive.omega_p > drive.omega_c / 3.0:
@@ -245,11 +203,11 @@ def _chi_samples(params: AtomParams, drive: DriveConfig, deltas) -> list:
     chis = []
     worst = (0.0, 0.0)
     for delta in deltas:
-        first = _solve_sideband(gen0, delta, seed)
+        first = solve_sideband(gen0, delta, seed)
         chis.append(CHI_SIGN * (_PROBE_ROW @ first))
         if eta != 0.0:
-            second = _solve_sideband(gen0, 2.0 * delta, probe @ first)
-            back = _solve_sideband(gen0, delta, probe_conj @ second)
+            second = solve_sideband(gen0, 2.0 * delta, probe @ first)
+            back = solve_sideband(gen0, delta, probe_conj @ second)
             norm_first = np.linalg.norm(first)
             if norm_first != 0.0:
                 estimate = float(eta**2 * np.linalg.norm(back) / norm_first)
@@ -308,15 +266,11 @@ def group_velocity_class(spectrum: Curve, window_hz: float = 10.0) -> SlopeFit:
             f"need at least 5 points within +/-{window_hz} Hz, have "
             f"{int(mask.sum())}"
         )
-    x = xs[mask]
-    y = ys[mask]
-    design = np.vstack([x, np.ones_like(x)]).T
-    coef, res, *_ = np.linalg.lstsq(design, y, rcond=None)
+    # cov is scaled by the residual chi^2 / (N - 2): cov[0, 0] is the
+    # slope's squared standard error.
+    coef, cov = np.polyfit(xs[mask], ys[mask], 1, cov=True)
     slope = float(coef[0])
-    dof = len(x) - 2
-    var = float(res[0]) / dof if (dof > 0 and res.size) else 0.0
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    stderr = math.sqrt(var / sxx) if sxx > 0 else math.inf
+    stderr = math.sqrt(cov[0, 0])
     tol = 1e-3 * float(np.max(np.abs(ys))) / window_hz
     if slope > tol:
         label = "slow"
@@ -448,7 +402,7 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
             # the +delta response is D(x[:, 1]).
             c = state[seed_index]
             seeds = pieces.T.dot(np.array((c, c.conj())).T)
-            x = _solve_sideband(gen, delta, seeds)
+            x = solve_sideband(gen, delta, seeds)
             # The carrier and both responses as columns of one readout;
             # the (2, 3) derivative block read by column is (Omega, e, f).
             block = np.array((vec, x[:, 0], x[:, 1][_TRANSPOSE].conj()))
@@ -478,17 +432,16 @@ class PulseSpec:
     n_samples: int = 1024
 
     def __post_init__(self):
-        # fwhm is checked before the default window is computed from it,
-        # and a default window that overflows is named as 8 * fwhm: the
-        # caller set fwhm, not time_window.
-        _require_finite_value("fwhm", self.fwhm)
+        # fwhm is checked, finiteness and sign, before the default window
+        # is computed from it, and a default window that overflows is
+        # named as 8 * fwhm: the caller set fwhm, not time_window.
+        if _require_finite_value("fwhm", self.fwhm) <= 0.0:
+            raise ValueError("fwhm must be positive")
         if self.time_window is None:
             object.__setattr__(self, "time_window", _require_finite_value(
                 "the default time_window, 8 * fwhm,", 8.0 * self.fwhm))
         _require_finite(self)
         window = self.time_window
-        if self.fwhm <= 0.0:
-            raise ValueError("fwhm must be positive")
         if window < 8.0 * self.fwhm:
             raise ValueError("time_window must be at least 8 * fwhm")
         n = _require_int("n_samples", self.n_samples)

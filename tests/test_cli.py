@@ -127,6 +127,8 @@ def test_repeated_key_names_both_lines():
 @pytest.mark.parametrize("pulse_lines, message", [
     ("n_samples = 100\nfwhm_s = 0.005\n", "n_samples must be a power of two"),
     ("fwhm_s = -0.005\n", "fwhm must be positive"),
+    # 8 * fwhm overflows to -inf; the sign of fwhm is named, not that.
+    ("fwhm_s = -1e308\n", "fwhm must be positive$"),
     ("time_window_s = 0.01\nfwhm_s = 0.005\n",
      r"time_window must be at least 8 \* fwhm"),
     ("fwhm_s = nan\n", "fwhm must be finite, got nan"),
@@ -134,8 +136,8 @@ def test_repeated_key_names_both_lines():
      "carrier_detuning must be finite, got inf"),
     ("n_samples = 256\nfwhm_s = 0.005\ntime_window_s = 5.0\n",
      r"n_samples over time_window only resolves \+/-25.6 Hz"),
-], ids=["n_samples", "fwhm_s", "time_window_s", "fwhm_s-nan",
-        "carrier_detuning_hz-inf", "n_samples-bandwidth"])
+], ids=["n_samples", "fwhm_s", "fwhm_s-huge-negative", "time_window_s",
+        "fwhm_s-nan", "carrier_detuning_hz-inf", "n_samples-bandwidth"])
 def test_pulse_value_reports_line(pulse_lines, message):
     # The rejected key sits on line 3.
     text = ("mode = pulse\npreset = fig4-warm\n" + pulse_lines

@@ -421,8 +421,17 @@ class TestCurve:
         # Both were accepted: a comparison with NaN is False, and inf
         # keeps the abscissa increasing.
         with pytest.raises(ValueError,
-                           match=f"^abscissa values must be finite, got {bad}$"):
+                           match=f"^abscissa value must be finite, got {bad}$"):
             Curve("x", xs, [1.0, 2.0, 3.0])
+
+    def test_grid_messages_name_one_entry_or_the_grid(self):
+        # A bad entry is one value; the ordering is a property of all.
+        with pytest.raises(ValueError, match=(
+                "^sweep grid value is an integer too large for a float$")):
+            core.check_grid([0.0, 10**400], "sweep grid")
+        with pytest.raises(ValueError, match=(
+                "^sweep grid values must be strictly increasing$")):
+            core.check_grid([1.0, 0.0], "sweep grid")
 
     def test_accessors(self):
         curve = Curve("x", [0.0, 1.0, 2.5], [1.0, 2.0, -1.0])

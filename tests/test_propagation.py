@@ -574,7 +574,7 @@ class TestFailurePaths:
             return solve()
 
         self.stage_hook(monkeypatch, on_call)
-        monkeypatch.setattr(spectroscopy, "_solve_sideband",
+        monkeypatch.setattr(spectroscopy, "solve_sideband",
                             lambda gen, delta, seed: np.zeros_like(seed))
         h = cold_atom.cell_length / self.N_STEPS
         with pytest.raises(PropagationError) as info:

@@ -37,8 +37,9 @@ from lambdaloop.liouvillian import (
     circular_template,
     commutator_superop,
     dissipator_superop,
+    solve_sideband,
 )
-from lambdaloop.spectroscopy import _solve_sideband, apply_transfer, peak_time
+from lambdaloop.spectroscopy import apply_transfer, peak_time
 
 STRONG_PROBE = DriveConfig.from_hz(0.0, 0.0, 240e3, 120e3)
 
@@ -288,14 +289,14 @@ class TestResponseProperties:
                                                    warm_drive, monkeypatch):
         # The first sideband feeds both chi and the truncation estimate:
         # one solve at delta, one at 2*delta, one back at delta.
-        solve = spectroscopy._solve_sideband
+        solve = spectroscopy.solve_sideband
         deltas_hz = []
 
         def counted(gen, delta, seed):
             deltas_hz.append(delta / (2 * np.pi))
             return solve(gen, delta, seed)
 
-        monkeypatch.setattr(spectroscopy, "_solve_sideband", counted)
+        monkeypatch.setattr(spectroscopy, "solve_sideband", counted)
         drive = replace(warm_drive, delta_probe=hz_to_angular(3.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakProbeWarning)
@@ -306,8 +307,8 @@ class TestResponseProperties:
         # gen = -i*delta*I makes (-i*delta - gen) the zero matrix.
         delta = hz_to_angular(12.5)
         with pytest.raises(SteadyStateError, match=r"at delta = 12\.5 Hz"):
-            _solve_sideband(-1j * delta * np.eye(16), delta,
-                            np.ones(16, dtype=complex))
+            solve_sideband(-1j * delta * np.eye(16), delta,
+                           np.ones(16, dtype=complex))
 
     # inf - inf in the refinement residual makes numpy warn first.
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -320,7 +321,7 @@ class TestResponseProperties:
         seed[5, 1] = bad
         with pytest.raises(SteadyStateError, match=(
                 r"^sideband response diverged at delta = 12\.5 Hz$")):
-            _solve_sideband(-np.eye(16), delta, seed)
+            solve_sideband(-np.eye(16), delta, seed)
 
 
     def test_spectrum_warns_once_at_worst_truncation(self, warm_atom,
@@ -461,7 +462,7 @@ class TestSweeps:
             for grid, bad in (((0.0, np.nan, 1.0), "nan"),
                               ((0.0, np.inf), "inf"), ((-np.inf, 0.0), "-inf")):
                 with pytest.raises(ValueError, match=(
-                        f"^sweep grid values must be finite, got {bad}$")):
+                        f"^sweep grid value must be finite, got {bad}$")):
                     sweep(cold_atom, cold_drive, grid)
             # A valid grid does reach the stubbed solve.
             with pytest.raises(AssertionError, match="grid check"):
@@ -667,6 +668,11 @@ class TestPulse:
                 "got inf$")):
             PulseSpec(fwhm=1e308, peak_omega_p=1.0)
 
+    def test_negative_fwhm_named_before_the_default_window(self):
+        # 8 * -1e308 is -inf; the sign of fwhm is the fault, not the window.
+        with pytest.raises(ValueError, match="^fwhm must be positive$"):
+            PulseSpec(fwhm=-1e308, peak_omega_p=1.0)
+
     def test_numpy_integer_sample_count_accepted(self):
         spec = PulseSpec(fwhm=1e-3, peak_omega_p=1.0, n_samples=np.int64(512))
         assert spec.times.shape == (512,)
@@ -753,7 +759,7 @@ class TestPulse:
             raise AssertionError("a solve ran before the detuning check")
 
         monkeypatch.setattr(spectroscopy, "carrier_stage", started)
-        monkeypatch.setattr(spectroscopy, "_solve_sideband", started)
+        monkeypatch.setattr(spectroscopy, "solve_sideband", started)
         atom = replace(warm_atom, optical_depth=od)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -855,8 +861,8 @@ class TestSidebandConjugationSymmetry:
         seed_high = (np.conj(m1c) * up1 + np.conj(m2c) * up2 + e1 * dn1
                      + e2 * dn2) @ vec
         delta = hz_to_angular(delta_hz)
-        low = _solve_sideband(gen, delta, seed_low)
-        high = _solve_sideband(gen, -delta, seed_high)
+        low = solve_sideband(gen, delta, seed_low)
+        high = solve_sideband(gen, -delta, seed_high)
 
         # The seed block sideband_transfer builds from its state, which
         # holds the +delta field f = conj(m): c = (e1, f1, e2, f2) seeds
@@ -870,7 +876,7 @@ class TestSidebandConjugationSymmetry:
         assert (np.max(np.abs(seeds[:, 1] - _dagger(seed_high)))
                 <= 1e-13 * scale)
 
-        pair = _solve_sideband(gen, delta, seeds)
+        pair = solve_sideband(gen, delta, seeds)
         high_shared = _dagger(pair[:, 1])
         scale = np.max(np.abs([low, high]))
         assert np.max(np.abs(pair[:, 0] - low)) <= 1e-13 * scale

@@ -2,9 +2,14 @@
 
 The module owns every solve against the generator L: the carrier steady
 state, L x = 0 at unit trace (steady_state_matrix), and the first-order
-sideband response, (-i*delta - L) x = seed (solve_sideband).  Both
-replace one equation by the norm-scaled trace row where L's kernel makes
-the system singular and solve by LU with one step of refinement.
+sideband response, (-i*delta - L) x = seed (solve_sideband).  Both solve
+M(delta) = -i*delta - L + n e0 tr^T, with n = ||L||_F, e0 the first unit
+vector and tr^T the trace functional, by LU with one step of refinement.
+Since tr^T L = 0, tr^T applied to M x = b gives (n - i*delta) Tr x =
+tr^T b.  So M(0) x = n e0 has Tr x = 1 and L x = 0, and a trace-free
+seed (every commutator seed is one) gives the trace-free x that solves
+(-i*delta - L) x = seed exactly, at delta = 0 too.  M is nonsingular at
+every real delta when L has a unique steady state of full rank.
 
 The Hamiltonian couples each circular field to both excited states,
 
@@ -211,20 +216,6 @@ def _generator_norm(generator: np.ndarray) -> float:
     return math.sqrt(np.vdot(generator, generator).real)
 
 
-def _replace_trace_row(a: np.ndarray, scale: float) -> np.ndarray:
-    """Overwrite row 0 of a 16x16 system with scale times the trace
-    functional of a row-major vectorized state, in place.
-
-    The replaced equation pins the trace of the solution, which singles
-    out one solution of a system whose kernel is the generator's.  Every
-    caller passes the generator's Frobenius norm (_generator_norm) as
-    scale, which keeps the row on the order of the other rows.  Returns a.
-    """
-    a[0] = 0.0
-    a[0, ::DIM + 1] = scale
-    return a
-
-
 def _unsolved(generator: np.ndarray, message: str) -> SteadyStateError:
     """The error for a failed steady-state solve: a degenerate kernel
     (found with one SVD) if that is the cause, else message."""
@@ -255,11 +246,10 @@ def steady_state_matrix(generator: np.ndarray, *,
                         record: dict | None = None) -> np.ndarray:
     """Unique unit-trace kernel element of the generator as a 4x4 matrix.
 
-    One row of the generator is replaced by the trace constraint, scaled
-    by the generator's Frobenius norm, and the resulting dense system
-    solved by LU with one step of iterative refinement.  That one norm,
-    taken in one pass, is also the reference of the residual check: the
-    residual of the *original* equations must satisfy
+    Solves M(0) x = n e0 of the module docstring, with n the generator's
+    Frobenius norm, by LU with one step of iterative refinement.  That
+    one norm, taken in one pass, is also the reference of the residual
+    check: the residual of the generator's own equations must satisfy
     ||generator x|| <= STEADY_RESIDUAL_TOL * ||generator||_F, which a
     NaN residual fails.  With a record, the checked relative residual
     ||generator x|| / ||generator||_F of the refined solution x is folded
@@ -268,13 +258,10 @@ def steady_state_matrix(generator: np.ndarray, *,
     norm = _generator_norm(generator)
     if not 0.0 < norm < math.inf:
         raise _unscalable(generator, norm)
-    a = _replace_trace_row(generator.copy(), norm)
-    # The replaced row's right-hand side; every other equation is
-    # homogeneous.
     b = np.zeros(DIM * DIM, dtype=complex)
     b[0] = norm
     try:
-        vec = refined_solve(a, b)
+        vec = refined_solve(_augmented(generator, 0.0, norm), b)
     except np.linalg.LinAlgError as exc:
         raise _unsolved(
             generator, f"steady-state solve failed: {exc}"
@@ -318,21 +305,25 @@ def _detuning_shift(delta_angular: float) -> np.ndarray:
     return shift
 
 
+def _augmented(generator: np.ndarray, delta: float,
+               norm: float) -> np.ndarray:
+    """M(delta) of the module docstring, with n = norm, as a new array."""
+    a = _detuning_shift(delta) - generator
+    a[0, ::DIM + 1] += norm
+    return a
+
+
 def solve_sideband(generator: np.ndarray, delta: float,
                    seed: np.ndarray) -> np.ndarray:
-    """Solve (-i*delta - generator) x = seed; trace-replaced on resonance.
+    """Solve (-i*delta - generator) x = seed for a trace-free seed.
 
-    seed is one (16,) right-hand side or a (16, k) block of them, all
-    solved with one factorisation.  At delta = 0 the matrix is singular
-    (the generator kernel); the physical limit is the trace-free
-    solution, which the trace row of steady_state_matrix picks uniquely.
-    A failed or non-finite solve raises SteadyStateError naming delta in Hz.
+    seed is one (16,) right-hand side or a (16, k) block of them, each
+    column trace-free, all solved with one factorisation of M(delta) of
+    the module docstring.  Its solution is the trace-free one, which at
+    delta = 0 is the physical limit of the singular plain system.  A
+    failed or non-finite solve raises SteadyStateError naming delta in Hz.
     """
-    a = _detuning_shift(delta) - generator
-    if delta == 0.0:
-        _replace_trace_row(a, _generator_norm(generator))
-        seed = seed.copy()
-        seed[0] = 0.0
+    a = _augmented(generator, delta, _generator_norm(generator))
     try:
         vec = refined_solve(a, seed)
     except np.linalg.LinAlgError as exc:

@@ -1,11 +1,20 @@
 import json
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from lambdaloop import AtomParams, DriveConfig, PulseSpec, cli, propagation
+from lambdaloop import (
+    AtomParams,
+    DriveConfig,
+    PulseSpec,
+    WeakProbeWarning,
+    cli,
+    propagation,
+    refractive_spectrum,
+)
 from lambdaloop.liouvillian import SteadyStateError
 from lambdaloop.cli import (
     ALL_KEYS,
@@ -257,6 +266,22 @@ def test_spectrum_mode(tmp_path):
     lines = (tmp_path / "spec.csv").read_text().splitlines()
     assert lines[0] == "delta_hz,re_chi_au,im_chi_au"
     assert len(lines) == 6
+
+
+def test_spectrum_row_near_resonance_reads_chi_at_zero(tmp_path,
+                                                      monkeypatch):
+    # The middle of 7 points over +-7.7 Hz is 8.9e-16 Hz, not 0.
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakProbeWarning)
+        assert main(["spectrum", "--preset", "fig4-warm",
+                     "--sweep-start", "-7.7", "--sweep-stop", "7.7",
+                     "--points", "7", "--out", "spec"]) == 0
+        chi0 = refractive_spectrum(preset_atom("fig4-warm"),
+                                   preset_drive("fig4-warm"), [0.0]).ys[0]
+    rows = np.loadtxt(tmp_path / "spec.csv", delimiter=",", skiprows=1)
+    assert 0.0 < rows[3, 0] < 1e-15
+    assert abs(complex(rows[3, 1], rows[3, 2]) - chi0) <= 1e-12 * abs(chi0)
 
 
 def test_pulse_mode_free_space(tmp_path):

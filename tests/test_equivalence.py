@@ -25,13 +25,16 @@ from lambdaloop import (
     WeakProbeWarning,
     bare_transition_transmission,
     hz_to_angular,
+    input_fields,
     preset_atom,
     preset_drive,
     refractive_spectrum,
     sideband_transfer,
+    steady_state_matrix,
     transmission,
     weak_probe_response,
 )
+from lambdaloop.liouvillian import circular_template
 
 DATA = Path(__file__).parent / "data" / "equivalence.json"
 RTOL = 1e-12
@@ -95,6 +98,16 @@ def _refractive_spectrum_warm_field():
         ).ys
 
 
+def _steady_state(name):
+    # The carrier kernel alone, at the criterion 8 field and phase.
+    atom = preset_atom(name)
+    drive = replace(preset_drive(name), delta_b=hz_to_angular(-91.0),
+                    phi=1.75 * np.pi)
+    gen = circular_template(atom).generator(drive.delta_b,
+                                            *input_fields(drive))
+    return steady_state_matrix(gen)
+
+
 CASES = {
     **{f"transmission_{name}_64": (lambda n=name: _transmission(n))
        for name in PRESETS},
@@ -110,6 +123,8 @@ CASES = {
     **{f"transmission_{name}_64_stats": (lambda n=name: _transmission_record(n))
        for name in PRESETS},
     **{f"bare_transition_{name}_512": (lambda n=name: _bare_transition(n, 512))
+       for name in PRESETS},
+    **{f"steady_state_{name}": (lambda n=name: _steady_state(n))
        for name in PRESETS},
 }
 

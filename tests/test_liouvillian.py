@@ -29,6 +29,7 @@ from lambdaloop.liouvillian import (
     dissipator_superop,
     jump_operators,
     refined_solve,
+    solve_sideband,
 )
 from lambdaloop.spectroscopy import _operating_point
 
@@ -314,14 +315,16 @@ class TestSteadyState:
     @pytest.mark.parametrize("gen, message", [
         (np.zeros((16, 16), dtype=complex),
          "zero generator has no unique steady state"),
-        # A zero column leaves the trace-replaced system singular while
-        # the kernel of the generator stays one-dimensional.
+        # A zero column the trace row does not touch leaves the
+        # augmented system singular while the kernel of the generator
+        # stays one-dimensional.
         (np.diag([1.0] + [0.0] + [1.0] * 14).astype(complex),
          "steady-state solve failed: Singular matrix"),
-        # An invertible generator: the solve meets the trace row and the
-        # other 15 equations, but not the replaced first one.
+        # An invertible generator, G = I with norm 4: the augmented
+        # system -x + 4 e0 Tr x = 4 e0 has the solution x = (4/3) e0,
+        # whose residual ||G x|| = 4/3 fails the check.
         (np.eye(16, dtype=complex),
-         "steady-state residual 1.000e+00 exceeds 1e-08 * ||generator|| "
+         "steady-state residual 1.333e+00 exceeds 1e-08 * ||generator|| "
          "= 4.000e-08"),
     ], ids=["zero", "singular", "high-residual"])
     def test_failure_messages(self, gen, message):
@@ -368,6 +371,53 @@ class TestSteadyState:
         rho_b = steady_state_matrix(gen(drive.delta_b, *(fields * gauge)))
         assert np.max(np.abs(np.diag(rho_a) - np.diag(rho_b))) < 1e-12
         assert np.max(np.abs(np.abs(rho_a) - np.abs(rho_b))) < 1e-12
+
+
+class TestSidebandSystem:
+    """Both solves against the generator share one trace-augmented
+    matrix, M(delta) = -i*delta - L + ||L||_F e0 tr^T."""
+
+    PRESETS = pytest.mark.parametrize("preset", ["fig3-cold", "fig4-warm"])
+
+    @staticmethod
+    def operating_point(preset):
+        gen0, rho0, probe, _ = _operating_point(preset_atom(preset),
+                                                preset_drive(preset))
+        return gen0, probe @ rho0
+
+    @PRESETS
+    @pytest.mark.parametrize("delta_hz", [-40.0, 3.0, 150.0])
+    def test_matches_plain_system_off_resonance(self, preset, delta_hz):
+        # A trace-free seed: the augmented row changes nothing.
+        gen, seed = self.operating_point(preset)
+        delta = hz_to_angular(delta_hz)
+        expected = np.linalg.solve(-1j * delta * np.eye(16) - gen, seed)
+        got = solve_sideband(gen, delta, seed)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @PRESETS
+    @pytest.mark.parametrize("delta_hz", [0.0, 1e-300, 1e-12, 3.0])
+    def test_response_is_trace_free(self, preset, delta_hz):
+        gen, seed = self.operating_point(preset)
+        x = solve_sideband(gen, hz_to_angular(delta_hz), seed)
+        assert abs(x[::5].sum()) <= 1e-14 * np.abs(x).max()
+
+    @PRESETS
+    def test_resonant_matrix_is_the_carrier_matrix(self, preset,
+                                                   monkeypatch):
+        gen, seed = self.operating_point(preset)
+        gesv = liouvillian._gesv
+        matrices = []
+
+        def recording(a, b):
+            matrices.append(a.copy())
+            return gesv(a, b)
+
+        monkeypatch.setattr(liouvillian, "_gesv", recording)
+        steady_state_matrix(gen)
+        solve_sideband(gen, 0.0, seed)
+        carrier, sideband = matrices
+        assert carrier.tobytes() == sideband.tobytes()
 
 
 class TestTimeEvolution:

@@ -349,12 +349,11 @@ class TestTransmission:
 
 def kernel_residual(gen):
     """The relative residual steady_state_matrix checks, recomputed: the
-    trace-replaced, refined solve of gen, taken before Hermitisation,
-    with the trace row scaled by the Frobenius norm of gen."""
+    refined solve of the trace-augmented system -gen x + n e0 Tr x = n e0,
+    n the Frobenius norm of gen, taken before Hermitisation."""
     scale = math.sqrt(np.vdot(gen, gen).real)
-    a = gen.copy()
-    a[0] = 0.0
-    a[0, ::5] = scale
+    a = -gen
+    a[0, ::5] += scale
     b = np.zeros(16, dtype=complex)
     b[0] = scale
     x = refined_solve(a, b)

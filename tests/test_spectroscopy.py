@@ -324,6 +324,27 @@ class TestResponseProperties:
             solve_sideband(-np.eye(16), delta, seed)
 
 
+    def test_spectrum_continuous_through_resonance(self, warm_atom,
+                                                   warm_drive):
+        # linspace(-7.7, 7.7, 7) puts its middle sample at 8.9e-16 Hz,
+        # not 0: a delta that is zero to rounding reads chi(0).
+        drive = replace(warm_drive, delta_b=hz_to_angular(-91.0))
+        grid = np.linspace(-7.7, 7.7, 7)
+        assert 0.0 < grid[3] < 1e-15
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakProbeWarning)
+            near = refractive_spectrum(warm_atom, drive, grid).ys[3]
+            at = refractive_spectrum(warm_atom, drive, [0.0]).ys[0]
+        assert abs(near - at) <= 1e-12 * abs(at)
+
+    def test_transfer_continuous_through_resonance(self, warm_atom,
+                                                   warm_drive):
+        # Exactly 0, zero to rounding, and a tiny nonzero detuning: one
+        # transfer value, and no singular solve.
+        got = sideband_transfer(warm_atom, warm_drive,
+                                [0.0, -1.4210854715202004e-14, 1e-300], 64)
+        assert np.abs(got - got[0]).max() <= 1e-12 * abs(got[0])
+
     def test_spectrum_warns_once_at_worst_truncation(self, warm_atom,
                                                      warm_drive):
         # weak_probe_response warns at both -15 Hz (1.620e-2) and 20 Hz

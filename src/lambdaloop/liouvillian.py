@@ -1,13 +1,24 @@
 """Master-equation generator, its two linear solves and exact evolution.
 
-The module owns every solve against the generator L: the carrier steady
-state, L x = 0 at unit trace (steady_state_matrix), and the first-order
-sideband response, (-i*delta - L) x = seed (solve_sideband).  Both solve
-M(delta) = -i*delta - L + n e0 tr^T, with n = ||L||_F, e0 the first unit
-vector and tr^T the trace functional, by LU with one step of refinement.
-Since tr^T L = 0, tr^T applied to M x = b gives (n - i*delta) Tr x =
-tr^T b.  So M(0) x = n e0 has Tr x = 1 and L x = 0, and a trace-free
-seed (every commutator seed is one) gives the trace-free x that solves
+Every generator L is a real (16, 16) matrix in Hermitian coordinates:
+x = T vec(rho), with vec row-major, vec(A rho B) = (A kron B^T) vec(rho),
+and T the unitary HERMITIAN_BASIS, whose rows read the populations
+rho_ii, then sqrt(2) Re rho_ij and sqrt(2) Im rho_ij over the pairs
+i < j.  A Hermitian rho has real coordinates, and a superoperator S that
+maps Hermitian matrices to Hermitian matrices has a real image
+T S T^dagger (hermitian_coordinates).  The trace functional tr^T is the
+sum of the first four coordinates, and the conjugation map D, vec(M) ->
+vec(M^dagger), is plain complex conjugation of the coordinates.
+
+The module owns every solve against L: the carrier steady state, L x = 0
+at unit trace (steady_state_matrix), and the first-order sideband
+response, (-i*delta - L) x = seed (solve_sideband).  Both solve
+M(delta) = -i*delta - L + n e0 tr^T, with n = ||L||_F and e0 the first
+unit vector, by LU with one step of refinement: in real arithmetic at
+delta = 0 for the carrier, in complex arithmetic for a sideband.  Since
+tr^T L = 0, tr^T applied to M x = b gives (n - i*delta) Tr x = tr^T b.
+So M(0) x = n e0 has Tr x = 1 and L x = 0, and a trace-free seed (every
+commutator seed is one) gives the trace-free x that solves
 (-i*delta - L) x = seed exactly, at delta = 0 too.  M is nonsingular at
 every real delta when L has a unique steady state of full rank.
 
@@ -23,8 +34,8 @@ diag(1/2, 1/2) at gamma_pop; the remaining circular-basis ground
 coherence decay (gamma_coh - gamma_pop) is pure dephasing, which requires
 gamma_coh >= gamma_pop.  With this set the circular ground population
 difference decays at exactly gamma_pop and rho_34 at exactly gamma_coh.
-
-States are vectorized row-major: vec(A rho B) = (A kron B^T) vec(rho).
+The superoperator builders (commutator_superop, dissipator_superop) work
+in vec coordinates.
 """
 from __future__ import annotations
 
@@ -36,6 +47,7 @@ import numpy as np
 from scipy.linalg import expm, get_lapack_funcs
 
 from .core import (
+    HERMITICITY_TOL,
     TWO_PI,
     AtomParams,
     DriveConfig,
@@ -46,7 +58,7 @@ from .core import (
 
 DIM = 4
 
-#: Relative residual allowed on generator * vec(rho) after the solve.
+#: Relative residual allowed on generator * x after the solve.
 STEADY_RESIDUAL_TOL = 1e-8
 
 #: Singular values below this fraction of the largest count as null: far
@@ -74,9 +86,13 @@ COUPLING_FIELD2 = _op(1, 3) - _op(0, 3)          # |2><4| - |1><4|
 ZEEMAN_CIRCULAR = 0.5 * (_op(2, 2) - _op(3, 3))
 UPPER_PROJECTOR = _op(0, 0)
 
-# Complex LU factor-and-solve and back-substitution, bound once.
+# LU factor-and-solve and back-substitution, bound once: complex for
+# the sideband solves, real for the carrier.
 _gesv, _getrs = get_lapack_funcs(
     ("gesv", "getrs"), (np.empty((1, 1), dtype=complex),)
+)
+_real_gesv, _real_getrs = get_lapack_funcs(
+    ("gesv", "getrs"), (np.empty((1, 1)),)
 )
 
 
@@ -113,49 +129,6 @@ def jump_operators(params: AtomParams) -> list:
     return ops
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorTemplate:
-    """Generator pieces linear in (delta_b, field, conj(field)).
-
-    basis stacks the six (16, 16) pieces in the order static, zeeman,
-    drive_a, drive_a_conj, drive_b, drive_b_conj; assembling a generator
-    is one product of their coefficients with the flattened stack, which
-    keeps per-point cost low inside sweeps and propagation loops.
-    """
-
-    basis: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "_flat", self.basis.reshape(6, -1))
-
-    def generator(self, delta_b: float, amp_a: complex, amp_b: complex) -> np.ndarray:
-        # Python complexes build the coefficient array faster than the
-        # numpy scalars callers index out of field arrays.
-        amp_a, amp_b = complex(amp_a), complex(amp_b)
-        coeffs = np.array([1.0, delta_b, amp_a, amp_a.conjugate(),
-                           amp_b, amp_b.conjugate()], dtype=complex)
-        # ndarray.dot: less per-call overhead than @ on these operands.
-        return coeffs.dot(self._flat).reshape(DIM * DIM, DIM * DIM)
-
-
-@functools.lru_cache(maxsize=16)
-def circular_template(params: AtomParams) -> GeneratorTemplate:
-    """Template over (delta_b, Omega_1, Omega_2) in the circular basis.
-
-    Built once per distinct AtomParams and shared: the basis is read-only
-    and generator() returns a fresh array.
-    """
-    static = (params.delta_exc * commutator_superop(UPPER_PROJECTOR)
-              + dissipator_superop(jump_operators(params)))
-    pieces = [static, commutator_superop(ZEEMAN_CIRCULAR)]
-    for coupling in (COUPLING_FIELD1, COUPLING_FIELD2):
-        pieces += [commutator_superop(coupling),
-                   commutator_superop(coupling.conj().T)]
-    basis = np.stack(pieces)
-    basis.flags.writeable = False
-    return GeneratorTemplate(basis)
-
-
 def _hermitian_basis() -> np.ndarray:
     """The unitary T taking row-major vec(rho) to real coordinates.
 
@@ -163,12 +136,10 @@ def _hermitian_basis() -> np.ndarray:
     rows 10-15 sqrt(2) Im rho_ij over the pairs i < j in row-major order,
     so T vec(rho) is real for Hermitian rho: T P = conj(T) for the
     transpose permutation P, vec(M) -> vec(M^T).  With D(v) = P conj(v),
-    the map vec(M) -> vec(M^dagger), a superoperator L with D L D = L has
-    P conj(L) P = L, so conj(T L T^dagger) = T P conj(L) P T^dagger =
-    T L T^dagger is real.  Every generator of circular_template is such
-    an L: D maps the static and Zeeman pieces to themselves and each
-    drive piece to its _conj partner, so T X T^dagger of a drive piece X
-    is the complex conjugate of T Y T^dagger for its partner Y.
+    the map vec(M) -> vec(M^dagger), T D(v) = conj(T v), and a
+    superoperator S with D S D = S, one that maps Hermitian matrices to
+    Hermitian matrices, has P conj(S) P = S, so conj(T S T^dagger) =
+    T P conj(S) P T^dagger = T S T^dagger is real.
     """
     pairs = [(i, j) for i in range(DIM) for j in range(i + 1, DIM)]
     t = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
@@ -185,6 +156,87 @@ def _hermitian_basis() -> np.ndarray:
 #: Read-only 16x16 unitary to real Hermitian coordinates (_hermitian_basis).
 HERMITIAN_BASIS = _hermitian_basis()
 
+#: Its inverse T^dagger, read-only: vec(rho) = T^dagger x.
+_FROM_HERMITIAN = HERMITIAN_BASIS.conj().T.copy()
+_FROM_HERMITIAN.flags.writeable = False
+
+
+def hermitian_coordinates(superop: np.ndarray) -> np.ndarray:
+    """T superop T^dagger as a real (16, 16) array, T = HERMITIAN_BASIS.
+
+    superop acts on row-major vec(rho) and must map Hermitian matrices
+    to Hermitian matrices: an imaginary part of the image above
+    HERMITICITY_TOL times the largest entry of superop, or a non-finite
+    entry, raises ValueError.
+    """
+    image = HERMITIAN_BASIS @ superop @ _FROM_HERMITIAN
+    imag = np.abs(image.imag).max()
+    bound = HERMITICITY_TOL * np.abs(superop).max()
+    if not imag <= bound:
+        raise ValueError(
+            "superoperator does not preserve Hermiticity: the imaginary "
+            f"part of its image reaches {imag:.3e}, above {bound:.3e}"
+        )
+    return np.ascontiguousarray(image.real)
+
+
+@dataclass(frozen=True, eq=False)
+class GeneratorTemplate:
+    """Generator pieces linear in (delta_b, Re and Im of each field).
+
+    basis stacks six real (16, 16) pieces in Hermitian coordinates: the
+    static and Zeeman pieces, then 2 Re X and -2 Im X of the drive piece
+    X = T (-i[V, .]) T^dagger of each circular coupling V, field a before
+    field b.  Assembling a generator is one product of the coefficients
+    (1, delta_b, Re a, Im a, Re b, Im b) with the flattened stack, which
+    keeps per-point cost low inside sweeps and propagation loops.
+    drive_pieces, read-only, holds the complex derivatives of the
+    generator in a, conj(a), b and conj(b): X_a, conj(X_a), X_b and
+    conj(X_b).
+    """
+
+    basis: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "_flat", self.basis.reshape(6, -1))
+        re, im = 0.5 * self.basis[2::2], 0.5 * self.basis[3::2]
+        pieces = np.empty((4, DIM * DIM, DIM * DIM), dtype=complex)
+        pieces[0::2] = re - 1j * im
+        pieces[1::2] = re + 1j * im
+        pieces.flags.writeable = False
+        object.__setattr__(self, "drive_pieces", pieces)
+
+    def generator(self, delta_b: float, amp_a: complex, amp_b: complex) -> np.ndarray:
+        # Python complexes build the coefficient array faster than the
+        # numpy scalars callers index out of field arrays.
+        amp_a, amp_b = complex(amp_a), complex(amp_b)
+        coeffs = np.array([1.0, delta_b, amp_a.real, amp_a.imag,
+                           amp_b.real, amp_b.imag])
+        # ndarray.dot: less per-call overhead than @ on these operands.
+        return coeffs.dot(self._flat).reshape(DIM * DIM, DIM * DIM)
+
+
+@functools.lru_cache(maxsize=16)
+def circular_template(params: AtomParams) -> GeneratorTemplate:
+    """Template over (delta_b, Omega_1, Omega_2) in the circular basis.
+
+    Built once per distinct AtomParams and shared: the pieces are
+    read-only and generator() returns a fresh array.  Each drive pair
+    enters through the Hermiticity-preserving X + Y and i (X - Y) of its
+    vec-coordinate pieces X = -i[V, .] and Y = -i[V^dagger, .], whose
+    images are 2 Re and -2 Im of T X T^dagger.
+    """
+    static = (params.delta_exc * commutator_superop(UPPER_PROJECTOR)
+              + dissipator_superop(jump_operators(params)))
+    pieces = [static, commutator_superop(ZEEMAN_CIRCULAR)]
+    for coupling in (COUPLING_FIELD1, COUPLING_FIELD2):
+        up = commutator_superop(coupling)
+        down = commutator_superop(coupling.conj().T)
+        pieces += [up + down, 1j * (up - down)]
+    basis = np.stack([hermitian_coordinates(piece) for piece in pieces])
+    basis.flags.writeable = False
+    return GeneratorTemplate(basis)
+
 
 def nullspace_dimension(generator: np.ndarray) -> int:
     """Number of singular values below NULLSPACE_REL_TOL times the
@@ -199,13 +251,18 @@ def refined_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b is one right-hand side or a block of them as columns.  One gesv
     call factors a and solves for x; one getrs call on that LU then
     solves for the correction, with the refinement residual taken
-    against the exact a.  Raises np.linalg.LinAlgError when a is exactly
-    singular.
+    against the exact a.  A real a takes the real pair, in real
+    arithmetic; a complex a the complex pair.  Raises
+    np.linalg.LinAlgError when a is exactly singular.
     """
-    lu, piv, x, info = _gesv(a, b)
+    if a.dtype.kind == "c":
+        gesv, getrs = _gesv, _getrs
+    else:
+        gesv, getrs = _real_gesv, _real_getrs
+    lu, piv, x, info = gesv(a, b)
     if info > 0:
         raise np.linalg.LinAlgError("Singular matrix")
-    x += _getrs(lu, piv, b - a.dot(x))[0]
+    x += getrs(lu, piv, b - a.dot(x))[0]
     return x
 
 
@@ -246,29 +303,31 @@ def steady_state_matrix(generator: np.ndarray, *,
                         record: dict | None = None) -> np.ndarray:
     """Unique unit-trace kernel element of the generator as a 4x4 matrix.
 
-    Solves M(0) x = n e0 of the module docstring, with n the generator's
-    Frobenius norm, by LU with one step of iterative refinement.  That
-    one norm, taken in one pass, is also the reference of the residual
-    check: the residual of the generator's own equations must satisfy
-    ||generator x|| <= STEADY_RESIDUAL_TOL * ||generator||_F, which a
-    NaN residual fails.  With a record, the checked relative residual
-    ||generator x|| / ||generator||_F of the refined solution x is folded
-    into record["max_steady_residual"] as a running max.
+    Solves the real system M(0) x = n e0 of the module docstring, with n
+    the generator's Frobenius norm, by LU with one step of iterative
+    refinement.  That one norm, taken in one pass, is also the reference
+    of the residual check: the residual of the generator's own equations
+    must satisfy ||generator x|| <= STEADY_RESIDUAL_TOL * ||generator||_F,
+    which a NaN residual fails.  T is unitary, so these are the norms of
+    the vec-coordinate system.  With a record, the checked relative
+    residual ||generator x|| / ||generator||_F of the refined solution x
+    is folded into record["max_steady_residual"] as a running max.  The
+    state mat(T^dagger x) is exactly Hermitian, since x is real.
     """
     norm = _generator_norm(generator)
     if not 0.0 < norm < math.inf:
         raise _unscalable(generator, norm)
-    b = np.zeros(DIM * DIM, dtype=complex)
+    b = np.zeros(DIM * DIM)
     b[0] = norm
     try:
-        vec = refined_solve(_augmented(generator, 0.0, norm), b)
+        x = refined_solve(_augmented(0.0, generator, norm), b)
     except np.linalg.LinAlgError as exc:
         raise _unsolved(
             generator, f"steady-state solve failed: {exc}"
         ) from exc
 
-    r = generator.dot(vec)
-    residual = math.sqrt(np.vdot(r, r).real)
+    r = generator.dot(x)
+    residual = math.sqrt(r.dot(r))
     if not residual <= STEADY_RESIDUAL_TOL * norm:
         raise _unsolved(
             generator,
@@ -281,13 +340,10 @@ def steady_state_matrix(generator: np.ndarray, *,
             record.get("max_steady_residual", 0.0), residual / norm
         )
 
-    # Twice the Hermitian part, divided by its trace: the factor 2 is a
-    # power of two and cancels without rounding.  The trace is the
-    # diagonal summed in ndarray.trace's pairwise order, without its
-    # per-call overhead.
-    rho = vec.reshape(DIM, DIM)
-    rho = rho + rho.conj().T
-    rho /= ((rho[0, 0] + rho[1, 1]) + (rho[2, 2] + rho[3, 3])).real
+    # Divided by its trace, the sum of the populations in ndarray.trace's
+    # pairwise order.
+    x /= (x[0] + x[1]) + (x[2] + x[3])
+    rho = _FROM_HERMITIAN.dot(x).reshape(DIM, DIM)
     try:
         validate_density_matrix(rho)
     except ValueError as exc:
@@ -305,11 +361,12 @@ def _detuning_shift(delta_angular: float) -> np.ndarray:
     return shift
 
 
-def _augmented(generator: np.ndarray, delta: float,
-               norm: float) -> np.ndarray:
-    """M(delta) of the module docstring, with n = norm, as a new array."""
-    a = _detuning_shift(delta) - generator
-    a[0, ::DIM + 1] += norm
+def _augmented(shift, generator: np.ndarray, norm: float) -> np.ndarray:
+    """M(delta) of the module docstring, with n = norm, as a new array:
+    shift - generator, shift being 0.0 or _detuning_shift(delta), with
+    norm added to the trace columns 0-3 of row 0."""
+    a = shift - generator
+    a[0, :DIM] += norm
     return a
 
 
@@ -317,13 +374,15 @@ def solve_sideband(generator: np.ndarray, delta: float,
                    seed: np.ndarray) -> np.ndarray:
     """Solve (-i*delta - generator) x = seed for a trace-free seed.
 
-    seed is one (16,) right-hand side or a (16, k) block of them, each
-    column trace-free, all solved with one factorisation of M(delta) of
-    the module docstring.  Its solution is the trace-free one, which at
-    delta = 0 is the physical limit of the singular plain system.  A
-    failed or non-finite solve raises SteadyStateError naming delta in Hz.
+    seed is one (16,) right-hand side or a (16, k) block of them in
+    Hermitian coordinates, each column trace-free, all solved with one
+    complex factorisation of M(delta) of the module docstring.  Its
+    solution is the trace-free one, which at delta = 0 is the physical
+    limit of the singular plain system.  A failed or non-finite solve
+    raises SteadyStateError naming delta in Hz.
     """
-    a = _augmented(generator, delta, _generator_norm(generator))
+    a = _augmented(_detuning_shift(delta), generator,
+                   _generator_norm(generator))
     try:
         vec = refined_solve(a, seed)
     except np.linalg.LinAlgError as exc:
@@ -342,20 +401,21 @@ def solve_sideband(generator: np.ndarray, delta: float,
 
 def evolve_expm(rho0: np.ndarray, generator: np.ndarray,
                 t_final: float) -> np.ndarray:
-    """Apply the exact semigroup exp(generator * t) to a state.
+    """Apply the exact semigroup exp(generator * t) to a 4x4 state.
 
     Scaling-and-squaring matrix exponential on the 16x16 generator; valid
     at any stiffness and horizon, which makes it the long-time companion
-    oracle to the algebraic steady-state solve.
+    oracle to the algebraic steady-state solve.  The Hermitian part of
+    rho0 is mapped into Hermitian coordinates, evolved in real
+    arithmetic and mapped back, so the result is exactly Hermitian.
     """
     if not 0.0 <= t_final < math.inf:
         raise ValueError(
             f"t_final must be finite and non-negative, got {t_final!r}")
     t_final = _require_finite_value("t_final", t_final)
-    vec = np.array(rho0, dtype=complex).reshape(-1)
-    propagator = expm(generator * t_final)
-    rho = (propagator @ vec).reshape(DIM, DIM)
-    return 0.5 * (rho + rho.conj().T)
+    x = (HERMITIAN_BASIS @ np.asarray(rho0, dtype=complex).reshape(-1)).real
+    x = expm(generator * t_final) @ x
+    return (_FROM_HERMITIAN @ x).reshape(DIM, DIM)
 
 
 def substitution_image(drive: DriveConfig) -> DriveConfig:

@@ -39,23 +39,25 @@ thick-medium transfer that co-propagates the sideband together with its
 four-wave-mixing conjugate partner through the cell.  The latter feeds
 the pulse filter.
 
-The transfer carries the -delta and +delta sideband fields e and f
-beside the carrier.  Their seeds are the drive pieces (drive_a,
-drive_a_conj, drive_b, drive_b_conj) on the carrier state, with the
-coefficients c = (e1, f1, e2, f2) at -delta and (f1, e1, f2, e2) at
-+delta, and each field grows by propagation.field_derivative of its own
-response.  Both share one LU factorisation per integrator stage.  With
-D(v) = conj(vec(mat(v)^T)), the map vec(M) -> vec(M^dagger), every
-generator satisfies D L D = L: D maps the static and Zeeman pieces to
-themselves and each drive piece to its conjugate partner, bit for bit.
-D is antilinear and the carrier state exactly Hermitian, so D of the
+Every solve here runs in the real Hermitian coordinates of the
+liouvillian, where each generator is a real matrix and a Hermitian state
+has real coordinates.  The transfer carries the -delta and +delta
+sideband fields e and f beside the carrier.  Their seeds are the drive
+pieces (X_a, conj(X_a), X_b, conj(X_b) of the template) on the carrier
+state, with the coefficients c = (e1, f1, e2, f2) at -delta and
+(f1, e1, f2, e2) at +delta, and each field grows by the field rows read
+on its own response.  Both share one LU factorisation per integrator
+stage.  In these coordinates the map vec(M) -> vec(M^dagger) is complex
+conjugation, which fixes every generator and the carrier state and maps
+each drive piece to its partner, bit for bit.  So the conjugate of the
 +delta seed has the coefficients conj(c), and the +delta response is
-mat(y)^dagger with (-i*delta - L) y = D(seed), the -delta matrix.  The
-carrier state and both responses are read together, in one
-field_derivative call per stage.
+conj(y) with (-i*delta - L) y = conj(seed), the -delta matrix.  The
+carrier state is read in vec coordinates, as steady_state_matrix
+returns it, and both responses in Hermitian coordinates.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -100,12 +102,13 @@ CHI_SIGN = -1.0
 #: left at unity.
 PULSE_SPECTRUM_CUTOFF = 1e-8
 
-#: vec(M) -> vec(M^T) as an index: D(v) = conj(v[_TRANSPOSE]).
-_TRANSPOSE = np.arange(16).reshape(4, 4).T.ravel()
+#: propagation.FIELD_ROWS reading a state in Hermitian coordinates.
+_FIELD_ROWS_H = FIELD_ROWS @ HERMITIAN_BASIS.conj().T
 
-#: Row functional reading the probe coherence rho_1X + rho_2Y off a
-#: vectorised state: Tr(V_p^dagger rho), the probe mode of the field rows.
-_PROBE_ROW = to_linear(FIELD_ROWS)[1]
+#: Row functional reading the probe coherence rho_1X + rho_2Y off a state
+#: in Hermitian coordinates: Tr(V_p^dagger rho), the probe mode of the
+#: field rows.
+_PROBE_ROW = to_linear(_FIELD_ROWS_H)[1]
 
 
 class WeakProbeWarning(UserWarning):
@@ -159,18 +162,21 @@ def _operating_point(params: AtomParams, drive: DriveConfig):
     """The point every first-order sideband linearizes around.
 
     Returns the degenerate circular-basis generator gen0 at the input
-    fields, its vectorised steady state and the probe-sideband
-    superoperators (probe, probe_conj): the derivatives of the generator
-    in Omega_p and conj(Omega_p), read through core.to_linear as the
-    probe mode of the drive-piece pairs (drive_a, drive_b) and
-    (drive_a_conj, drive_b_conj).
+    fields, its steady state and the probe-sideband superoperators
+    (probe, probe_conj), all in Hermitian coordinates: the state is real
+    and probe_conj = conj(probe).  The pair is the derivatives of the
+    generator in Omega_p and conj(Omega_p), read through core.to_linear
+    as the probe mode of the template's drive pieces (X_a, conj(X_a))
+    and (X_b, conj(X_b)).
     """
     template = circular_template(params)
     gen0 = template.generator(drive.delta_b, *input_fields(drive))
-    probe, probe_conj = to_linear(
-        (template.basis[2:4], template.basis[4:6])
-    )[1]
-    return gen0, steady_state_matrix(gen0).reshape(-1), probe, probe_conj
+    pieces = template.drive_pieces
+    probe, probe_conj = to_linear((pieces[0:2], pieces[2:4]))[1]
+    # The state's one map into Hermitian coordinates: the imaginary
+    # parts are exact zeros, as the state is exactly Hermitian.
+    rho0 = (HERMITIAN_BASIS @ steady_state_matrix(gen0).reshape(-1)).real
+    return gen0, rho0, probe, probe_conj
 
 
 def _warn_if_truncated(estimate: float, delta: float,
@@ -301,7 +307,9 @@ def chi_probe_timedomain(params: AtomParams, drive: DriveConfig,
     integers, sideband_fraction finite and positive, and omega_c or
     omega_p nonzero (the sideband is that fraction of omega_p, or else of
     omega_c); a bad argument raises ValueError naming it before anything
-    is solved.
+    is solved.  A detuning so small that the steps of its beat period
+    overflow the step exponentials, or make them NaN, raises ValueError
+    naming delta_hz.
     """
     delta_hz = _require_finite_value("delta_hz", delta_hz)
     if delta_hz == 0.0:
@@ -319,42 +327,52 @@ def chi_probe_timedomain(params: AtomParams, drive: DriveConfig,
         raise ValueError("the lock-in oracle needs a field: omega_c and "
                          "omega_p are both 0")
     delta = hz_to_angular(delta_hz)
-    gen0, vec0, up, _ = _operating_point(params, drive)
+    g0, rho_start, up, _ = _operating_point(params, drive)
     eta = sideband_fraction * (drive.omega_p or drive.omega_c)
     settle_time = 10.0 / min(params.gamma_pop, params.gamma_coh)
 
-    # Real Hermitian coordinates: T gen T^dagger is real, and the image of
-    # the probe_conj piece is the conjugate of up_r, so the sideband term
-    # eta (exp(-i theta) up_r + exp(i theta) conj(up_r)) is
-    # 2 eta (cos(theta) Re(up_r) + sin(theta) Im(up_r)).
-    t_dag = HERMITIAN_BASIS.conj().T
-    g0 = (HERMITIAN_BASIS @ gen0 @ t_dag).real
-    up_r = HERMITIAN_BASIS @ up @ t_dag
-    rho_start = (HERMITIAN_BASIS @ vec0).real
-    probe_row = _PROBE_ROW @ t_dag
-
+    # The probe_conj piece is conj(up), so the sideband term
+    # eta (exp(-i theta) up + exp(i theta) conj(up)) is
+    # 2 eta (cos(theta) Re(up) + sin(theta) Im(up)).  An overflow or an
+    # invalid value in the step arithmetic raises here rather than warns.
     legs = []
-    for steps in (steps_per_period, 2 * steps_per_period):
-        dt = TWO_PI / abs(delta) / steps
-        settle_steps = int(math.ceil(settle_time / dt))
-        n = periods * steps
-        g0_dt = g0 * dt
-        cos_piece = (2.0 * eta * dt) * up_r.real
-        sin_piece = (2.0 * eta * dt) * up_r.imag
-        rho = rho_start
-        t = 0.0
-        acc = 0.0 + 0.0j
-        for k in range(settle_steps + n):
-            theta = delta * (t + 0.5 * dt)
-            rho = expm(g0_dt + math.cos(theta) * cos_piece
-                       + math.sin(theta) * sin_piece).dot(rho)
-            t += dt
-            if k >= settle_steps:
-                acc += probe_row.dot(rho) * complex(math.cos(delta * t),
-                                                    math.sin(delta * t))
-        legs.append(acc / n)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for steps in (steps_per_period, 2 * steps_per_period):
+                dt = TWO_PI / abs(delta) / steps
+                settle_steps = int(math.ceil(settle_time / dt))
+                n = periods * steps
+                g0_dt = g0 * dt
+                cos_piece = (2.0 * eta * dt) * up.real
+                sin_piece = (2.0 * eta * dt) * up.imag
+                rho = rho_start
+                t = 0.0
+                acc = 0.0 + 0.0j
+                for k in range(settle_steps + n):
+                    theta = delta * (t + 0.5 * dt)
+                    rho = expm(g0_dt + math.cos(theta) * cos_piece
+                               + math.sin(theta) * sin_piece).dot(rho)
+                    t += dt
+                    if k >= settle_steps:
+                        acc += _PROBE_ROW.dot(rho) * complex(
+                            math.cos(delta * t), math.sin(delta * t))
+                legs.append(acc / n)
+    except FloatingPointError as exc:
+        raise _beat_too_long(delta_hz) from exc
     coarse, fine = legs
-    return CHI_SIGN * (2.0 * fine - coarse) / eta
+    chi = CHI_SIGN * (2.0 * fine - coarse) / eta
+    if not cmath.isfinite(chi):
+        raise _beat_too_long(delta_hz)
+    return chi
+
+
+def _beat_too_long(delta_hz: float) -> ValueError:
+    """The error for a lock-in detuning whose beat period is too long for
+    the step exponentials."""
+    return ValueError(
+        f"delta_hz = {delta_hz!r} is too small for the lock-in oracle: "
+        "the steps of its beat period overflow the step exponentials"
+    )
 
 
 def sideband_transfer(params: AtomParams, drive: DriveConfig,
@@ -367,12 +385,11 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
     envelope modulation populates it (equal amplitudes).  At each
     integrator stage the carrier steady state feeds the carrier
     derivatives and the two first-order responses, which share one
-    factorisation through the conjugation symmetry D of the module
-    docstring; one propagation.field_derivative call per stage reads all
-    three derivatives.  Returns the output probe-mode modulation per
-    unit input, one complex value per entry of deltas_hz.  A non-finite
-    detuning raises ValueError before anything is solved; a failed
-    carrier solve or a diverging state raises PropagationError naming z.
+    factorisation through the conjugation symmetry of the module
+    docstring.  Returns the output probe-mode modulation per unit input,
+    one complex value per entry of deltas_hz.  A non-finite detuning
+    raises ValueError before anything is solved; a failed carrier solve
+    or a diverging state raises PropagationError naming z.
     """
     check_steps(n_steps)
     deltas = [_require_finite_value("deltas_hz", d)
@@ -382,8 +399,10 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
         return np.ones(len(deltas), dtype=complex)
 
     template = circular_template(params)
-    # drive_a, drive_a_conj, drive_b, drive_b_conj as one (64, 16) map.
-    drive_pieces = template.basis[2:].reshape(64, 16)
+    # The drive pieces X_a, conj(X_a), X_b, conj(X_b) as one (64, 16) map
+    # from the carrier state in vec coordinates, as carrier_stage returns
+    # it, to seeds in Hermitian coordinates.
+    seed_map = (template.drive_pieces @ HERMITIAN_BASIS).reshape(64, 16)
     # (Omega_1, Omega_2, e1, e2, f1, f2): unit probe modulation in e and f.
     unit_probe = to_circular(0.0, 1.0)
     state_in = np.concatenate([input_fields(drive), unit_probe, unit_probe])
@@ -396,17 +415,19 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
 
         def rhs(state, z):
             gen, vec = carrier_stage(template, drive.delta_b, state, z)
-            pieces = drive_pieces.dot(vec).reshape(4, 16)
+            pieces = seed_map.dot(vec).reshape(4, 16)
             # Column 0 seeds the -delta sideband with c = (e1, f1, e2,
-            # f2); column 1, with conj(c), is D of the +delta seed, so
-            # the +delta response is D(x[:, 1]).
+            # f2); column 1, with conj(c), is the conjugate of the +delta
+            # seed, so the +delta response is conj(x[:, 1]).
             c = state[seed_index]
             seeds = pieces.T.dot(np.array((c, c.conj())).T)
             x = solve_sideband(gen, delta, seeds)
-            # The carrier and both responses as columns of one readout;
-            # the (2, 3) derivative block read by column is (Omega, e, f).
-            block = np.array((vec, x[:, 0], x[:, 1][_TRANSPOSE].conj()))
-            return field_derivative(kappa, block.T).T.ravel()
+            np.conjugate(x[:, 1], out=x[:, 1])
+            # The (2, 2) derivative block of the responses, read by
+            # column, is (e, f).
+            sides = (-1j * kappa) * _FIELD_ROWS_H.dot(x)
+            return np.concatenate((field_derivative(kappa, vec),
+                                   sides.T.ravel()))
 
         state = z_march(rhs, state_in, params.cell_length, n_steps)
         out[i] = to_linear(state[2:4])[1]

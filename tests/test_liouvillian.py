@@ -27,6 +27,7 @@ from lambdaloop.liouvillian import (
     circular_template,
     commutator_superop,
     dissipator_superop,
+    hermitian_coordinates,
     jump_operators,
     refined_solve,
     solve_sideband,
@@ -46,7 +47,16 @@ def random_drive(rng, oc_hz, op_hz):
 
 
 def apply(gen, rho):
-    return (gen @ rho.reshape(-1)).reshape(4, 4)
+    """gen, in Hermitian coordinates, applied to a 4x4 matrix."""
+    x = HERMITIAN_BASIS @ rho.reshape(-1)
+    return (HERMITIAN_BASIS.conj().T @ (gen @ x)).reshape(4, 4)
+
+
+# The ground Hadamard rho -> GROUND_MIX rho GROUND_MIX, its own inverse.
+MIX = hermitian_coordinates(np.kron(GROUND_MIX, GROUND_MIX))
+
+PRESET_SCALES = pytest.mark.parametrize("name, oc_hz, op_hz", [
+    ("fig3-cold", 20e3, 5e3), ("fig4-warm", 240e3, 60e3)])
 
 
 class TestHamiltonian:
@@ -57,7 +67,8 @@ class TestHamiltonian:
         # only the dissipator.
         atom = AtomParams.from_hz(6e6, 10, 10, 0.0, 0.15, 0.075)
         gen = circular_generator(atom, DriveConfig(0, 0, 0, 0))
-        assert np.array_equal(gen, dissipator_superop(jump_operators(atom)))
+        assert np.array_equal(
+            gen, hermitian_coordinates(dissipator_superop(jump_operators(atom))))
 
     def test_diagonal_zeeman(self, cold_atom):
         # With the fields off, rho_34 rotates at the Zeeman splitting and
@@ -89,22 +100,30 @@ class TestHamiltonian:
     def test_linear_equals_rotated_circular(self, cold_atom, rng):
         # The cold preset has gamma_coh = gamma_pop, so unlike the warm
         # check below no dephasing jump operator enters.
-        mix = np.kron(GROUND_MIX, GROUND_MIX)
         for _ in range(5):
             drive = random_drive(rng, 20e3, 5e3)
-            gen_l = linear_generator(cold_atom, drive)
-            rotated = mix @ circular_generator(cold_atom, drive) @ mix
+            gen_l = hermitian_coordinates(linear_generator(cold_atom, drive))
+            rotated = MIX @ circular_generator(cold_atom, drive) @ MIX
             assert np.max(np.abs(rotated - gen_l)) < 1e-12 * np.max(
                 np.abs(gen_l)
             )
 
 
 class TestGenerator:
-    def test_trace_preservation(self, warm_atom, rng):
-        for _ in range(5):
-            gen = circular_generator(warm_atom, random_drive(rng, 240e3, 60e3))
-            top = np.eye(4).reshape(-1) @ gen
-            assert np.max(np.abs(top)) < 1e-12 * np.max(np.abs(gen))
+    @PRESET_SCALES
+    def test_trace_preservation(self, rng, name, oc_hz, op_hz):
+        # The trace functional in Hermitian coordinates is the sum of the
+        # four populations, the trace row the steady-state solve adds to
+        # row 0, and it is a left null vector of every generator.
+        trace_row = np.eye(4).reshape(-1) @ HERMITIAN_BASIS.conj().T
+        assert np.abs(trace_row - np.repeat([1.0, 0.0], [4, 12])).max() <= 1e-15
+        params = preset_atom(name)
+        for _ in range(20):
+            fields = (rng.normal(size=2) + 1j * rng.normal(size=2)) * oc_hz
+            gen = circular_generator(params, random_drive(rng, oc_hz, op_hz),
+                                     fields)
+            top = gen[:4].sum(axis=0)
+            assert np.max(np.abs(top)) <= 1e-15 * np.max(np.abs(gen))
 
     def test_builders_take_the_size_of_their_operators(self):
         # The two-level pieces of the Beer-Lambert oracle: the trace
@@ -123,7 +142,7 @@ class TestGenerator:
 
     def test_zero_drive_annihilates_unpolarized(self, cold_atom):
         gen = circular_generator(cold_atom, DriveConfig(0, 0, 0, 0))
-        assert np.max(np.abs(gen @ UNPOLARIZED.reshape(-1))) < 1e-9
+        assert np.max(np.abs(apply(gen, UNPOLARIZED))) < 1e-9
 
     def test_designed_decay_rates(self, cold_atom):
         # With fields and B off the generator must decay the circular
@@ -136,10 +155,8 @@ class TestGenerator:
             return -apply(gen, matrix)[element].real / matrix[element].real
 
         popdiff = np.diag([0, 0, 1.0, -1.0]).astype(complex)
-        out = gen @ popdiff.reshape(-1)
-        assert np.allclose(
-            out, -cold_atom.gamma_pop * popdiff.reshape(-1), atol=1e-8
-        )
+        out = apply(gen, popdiff)
+        assert np.allclose(out, -cold_atom.gamma_pop * popdiff, atol=1e-8)
 
         coh34 = np.zeros((4, 4), complex)
         coh34[2, 3] = 1.0
@@ -158,21 +175,22 @@ class TestGenerator:
     def test_linear_circular_unitary_equivalence(self, warm_atom, rng):
         drive = random_drive(rng, 240e3, 60e3)
         gen_c = circular_generator(warm_atom, drive)
-        gen_l = linear_generator(warm_atom, drive)
-        mix = np.kron(GROUND_MIX, GROUND_MIX)
-        assert np.max(np.abs(mix @ gen_c @ mix - gen_l)) < 1e-12 * np.max(
+        gen_l = hermitian_coordinates(linear_generator(warm_atom, drive))
+        assert np.max(np.abs(MIX @ gen_c @ MIX - gen_l)) < 1e-12 * np.max(
             np.abs(gen_l)
         )
 
     @pytest.mark.parametrize("preset", ["fig3-cold", "fig4-warm"])
     def test_stacked_basis_matches_six_term_sum(self, preset, rng):
-        # The pieces are rebuilt here from the operators, so the order of
-        # the stacked basis is checked as well as the product.
+        # The complex vec-coordinate assembly, rebuilt here from the
+        # operators and mapped by the helper, so the order of the stacked
+        # basis and its (Re, Im) coefficients are checked as well as the
+        # product.
         atom = preset_atom(preset)
         template = circular_template(atom)
         static = (atom.delta_exc * commutator_superop(UPPER_PROJECTOR)
                   + dissipator_superop(jump_operators(atom)))
-        for _ in range(10):
+        for _ in range(20):
             delta_b = rng.normal() * 1e3
             amp_a, amp_b = (complex(*rng.normal(size=2)) * 1e5
                             for _ in range(2))
@@ -184,8 +202,10 @@ class TestGenerator:
                 + amp_b * commutator_superop(COUPLING_FIELD2)
                 + np.conj(amp_b) * commutator_superop(COUPLING_FIELD2.conj().T)
             )
+            expected = hermitian_coordinates(expected)
             got = template.generator(delta_b, amp_a, amp_b)
             assert got.shape == (16, 16)
+            assert got.dtype == np.float64
             assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(
                 np.abs(expected))
 
@@ -247,6 +267,30 @@ class TestRefinedSolve:
             assert calls == [(16, 16)] * n
             assert refinements == [(16,)] * n
 
+    def test_real_matrix_takes_the_real_pair(self, monkeypatch, rng):
+        # A real system is factored and refined in real arithmetic; the
+        # complex pair is not called.
+        calls = []
+        gesv, getrs = liouvillian._real_gesv, liouvillian._real_getrs
+
+        def forbidden(*_args):
+            raise AssertionError("complex LAPACK called on a real system")
+
+        def counting(a, b):
+            calls.append(a.dtype)
+            return gesv(a, b)
+
+        monkeypatch.setattr(liouvillian, "_gesv", forbidden)
+        monkeypatch.setattr(liouvillian, "_getrs", forbidden)
+        monkeypatch.setattr(liouvillian, "_real_gesv", counting)
+        monkeypatch.setattr(liouvillian, "_real_getrs", getrs)
+        a = rng.normal(size=(16, 16)) + 16.0 * np.eye(16)
+        b = rng.normal(size=16)
+        x = refined_solve(a, b)
+        assert calls == [np.float64]
+        assert x.dtype == np.float64
+        assert np.abs(a @ x - b).max() <= 1e-13 * np.abs(b).max()
+
     def test_singular_raises(self):
         zero_column = np.eye(16, dtype=complex)
         zero_column[:, 5] = 0.0
@@ -280,7 +324,8 @@ class TestSteadyState:
         # its kernel is far from one-dimensional.
         h = np.zeros((4, 4), complex)
         h[0, 1] = h[1, 0] = 1e6
-        gen = -1j * (np.kron(h, np.eye(4)) - np.kron(np.eye(4), h.T))
+        gen = hermitian_coordinates(
+            -1j * (np.kron(h, np.eye(4)) - np.kron(np.eye(4), h.T)))
         with pytest.raises(SteadyStateError, match="degenerate"):
             steady_state_matrix(gen)
 
@@ -290,7 +335,7 @@ class TestSteadyState:
         # LinAlgError.
         one = circular_generator(cold_atom, cold_drive)
         one[5, 7] = bad
-        for gen in (one, np.full((16, 16), bad + 0j)):
+        for gen in (one, np.full((16, 16), bad)):
             with pytest.raises(SteadyStateError,
                                match="generator has non-finite entries"):
                 steady_state_matrix(gen)
@@ -313,17 +358,15 @@ class TestSteadyState:
         assert str(err.value) == message
 
     @pytest.mark.parametrize("gen, message", [
-        (np.zeros((16, 16), dtype=complex),
-         "zero generator has no unique steady state"),
-        # A zero column the trace row does not touch leaves the
-        # augmented system singular while the kernel of the generator
-        # stays one-dimensional.
-        (np.diag([1.0] + [0.0] + [1.0] * 14).astype(complex),
+        (np.zeros((16, 16)), "zero generator has no unique steady state"),
+        # A zero row below row 0 leaves the augmented system singular
+        # while the kernel of the generator stays one-dimensional.
+        (np.diag([1.0] + [0.0] + [1.0] * 14),
          "steady-state solve failed: Singular matrix"),
         # An invertible generator, G = I with norm 4: the augmented
         # system -x + 4 e0 Tr x = 4 e0 has the solution x = (4/3) e0,
         # whose residual ||G x|| = 4/3 fails the check.
-        (np.eye(16, dtype=complex),
+        (hermitian_coordinates(np.eye(16)),
          "steady-state residual 1.333e+00 exceeds 1e-08 * ||generator|| "
          "= 4.000e-08"),
     ], ids=["zero", "singular", "high-residual"])
@@ -333,12 +376,19 @@ class TestSteadyState:
         assert str(err.value) == message
 
     def test_unphysical_kernel_rejected(self, rng):
-        # G = B (I - x x^H / |x|^2) has the unique kernel x = vec(diag(1.5,
-        # -0.5, 0, 0)), of unit trace, and the solve meets the residual
-        # check; only the eigenvalue floor rejects the state.
-        x = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex).ravel()
+        # G = B (I - x x^T / |x|^2) has the unique kernel x, the
+        # coordinates of diag(1.5, -0.5, 0, 0), of unit trace, and the
+        # solve meets the residual check; only the eigenvalue floor
+        # rejects the state.  Every real matrix is a Hermiticity-preserving
+        # superoperator in Hermitian coordinates: the helper maps its vec
+        # form back to it.
+        x = np.zeros(16)
+        x[:2] = 1.5, -0.5
         b = 4.0 * np.eye(16) + rng.normal(size=(16, 16))
-        gen = b @ (np.eye(16) - np.outer(x, x.conj()) / np.vdot(x, x).real)
+        real = b @ (np.eye(16) - np.outer(x, x) / x.dot(x))
+        gen = hermitian_coordinates(
+            HERMITIAN_BASIS.conj().T @ real @ HERMITIAN_BASIS)
+        assert np.abs(gen - real).max() <= 1e-14 * np.abs(real).max()
         assert nullspace_dimension(gen) == 1
         with pytest.raises(SteadyStateError, match=(
                 r"^steady state is unphysical: negative eigenvalue "
@@ -398,26 +448,37 @@ class TestSidebandSystem:
     @PRESETS
     @pytest.mark.parametrize("delta_hz", [0.0, 1e-300, 1e-12, 3.0])
     def test_response_is_trace_free(self, preset, delta_hz):
+        # The trace is the sum of the first four coordinates.
         gen, seed = self.operating_point(preset)
+        assert abs(seed[:4].sum()) <= 1e-14 * np.abs(seed).max()
         x = solve_sideband(gen, hz_to_angular(delta_hz), seed)
-        assert abs(x[::5].sum()) <= 1e-14 * np.abs(x).max()
+        assert abs(x[:4].sum()) <= 1e-14 * np.abs(x).max()
 
     @PRESETS
     def test_resonant_matrix_is_the_carrier_matrix(self, preset,
                                                    monkeypatch):
+        # The carrier factors the real M(0), the sideband the complex
+        # M(0): the same values, with a zero imaginary part.
         gen, seed = self.operating_point(preset)
-        gesv = liouvillian._gesv
         matrices = []
 
-        def recording(a, b):
-            matrices.append(a.copy())
-            return gesv(a, b)
+        def recording(name):
+            gesv = getattr(liouvillian, name)
 
-        monkeypatch.setattr(liouvillian, "_gesv", recording)
+            def recorded(a, b):
+                matrices.append(a.copy())
+                return gesv(a, b)
+            monkeypatch.setattr(liouvillian, name, recorded)
+
+        recording("_real_gesv")
+        recording("_gesv")
         steady_state_matrix(gen)
         solve_sideband(gen, 0.0, seed)
         carrier, sideband = matrices
-        assert carrier.tobytes() == sideband.tobytes()
+        assert carrier.dtype == np.float64
+        assert sideband.dtype == np.complex128
+        assert np.array_equal(sideband.real, carrier)
+        assert not sideband.imag.any()
 
 
 class TestTimeEvolution:
@@ -447,13 +508,7 @@ class TestTimeEvolution:
 
 
 class TestHermitianBasis:
-    """The real coordinates the lock-in oracle steps in."""
-
-    PRESETS = [("fig3-cold", 20e3, 5e3), ("fig4-warm", 240e3, 60e3)]
-
-    @staticmethod
-    def similar(gen):
-        return HERMITIAN_BASIS @ gen @ HERMITIAN_BASIS.conj().T
+    """The real coordinates every generator is carried in."""
 
     def test_unitary_and_read_only(self):
         gram = HERMITIAN_BASIS @ HERMITIAN_BASIS.conj().T
@@ -473,24 +528,65 @@ class TestHermitianBasis:
         got = HERMITIAN_BASIS @ rho.reshape(-1)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("name, oc_hz, op_hz", PRESETS)
-    def test_generator_is_real(self, rng, name, oc_hz, op_hz):
-        params = preset_atom(name)
-        for _ in range(50):
-            gen = circular_generator(params, random_drive(rng, oc_hz, op_hz))
-            image = self.similar(gen)
-            assert np.abs(image.imag).max() <= 1e-15 * np.abs(gen).max()
+    @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
+    def test_template_pieces_have_real_images(self, name):
+        # The six vec-coordinate pieces the template maps: static and
+        # Zeeman, then X + Y and i (X - Y) for each drive pair.  Their
+        # images sit at rounding level from real, far inside the
+        # helper's HERMITICITY_TOL.
+        atom = preset_atom(name)
+        pieces = [atom.delta_exc * commutator_superop(UPPER_PROJECTOR)
+                  + dissipator_superop(jump_operators(atom)),
+                  commutator_superop(ZEEMAN_CIRCULAR)]
+        for coupling in (COUPLING_FIELD1, COUPLING_FIELD2):
+            up = commutator_superop(coupling)
+            down = commutator_superop(coupling.conj().T)
+            pieces += [up + down, 1j * (up - down)]
+        template = circular_template(atom)
+        for piece, stored in zip(pieces, template.basis):
+            image = HERMITIAN_BASIS @ piece @ HERMITIAN_BASIS.conj().T
+            assert np.abs(image.imag).max() <= 1e-16 * np.abs(piece).max()
+            assert np.array_equal(stored, hermitian_coordinates(piece))
+
+    def test_helper_rejects_a_piece_that_breaks_hermiticity(self, rng):
+        # One drive piece alone, -i[V, .] with V not Hermitian, maps
+        # Hermitian states off the Hermitian ones; so does a random
+        # complex matrix.  A non-finite entry fails the same check.
+        bad = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        nan = np.eye(16)
+        nan[3, 4] = np.nan
+        for superop in (commutator_superop(COUPLING_FIELD1), bad, nan):
+            with pytest.raises(ValueError,
+                               match="does not preserve Hermiticity"):
+                hermitian_coordinates(superop)
+
+    def test_conjugation_is_the_dagger_map(self, rng):
+        # D(v) = vec(mat(v)^dagger) becomes plain complex conjugation:
+        # T D(v) = conj(T v).
+        for _ in range(10):
+            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            got = HERMITIAN_BASIS @ m.conj().T.reshape(-1)
+            want = (HERMITIAN_BASIS @ m.reshape(-1)).conj()
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(m).max()
 
     @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
     def test_probe_pieces_are_conjugates(self, name):
         params = preset_atom(name)
         _, _, up, dn = _operating_point(params, preset_drive(name))
-        up_r, dn_r = self.similar(up), self.similar(dn)
-        bound = 1e-15 * np.abs(up).max()
-        assert np.abs(up_r - dn_r.conj()).max() <= bound
-        # The sideband term is real only through the pair: up_r itself
-        # is complex.
-        assert np.abs(up_r.imag).max() > 0.1 * np.abs(up).max()
+        assert np.array_equal(up, dn.conj())
+        # The sideband term is real only through the pair: up itself is
+        # complex.
+        assert np.abs(up.imag).max() > 0.1 * np.abs(up).max()
+
+    @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
+    def test_drive_pieces_rebuild_the_stored_pieces(self, name):
+        # 2 Re X and -2 Im X of each drive piece X are the stored real
+        # pieces; its partner is conj(X) (test_spectroscopy.py).
+        template = circular_template(preset_atom(name))
+        pieces = template.drive_pieces
+        assert not pieces.flags.writeable
+        assert np.array_equal(2.0 * pieces[0::2].real, template.basis[2::2])
+        assert np.array_equal(-2.0 * pieces[0::2].imag, template.basis[3::2])
 
 
 class TestSubstitutionImage:
@@ -517,7 +613,8 @@ class TestSubstitutionImage:
         # drive and its substitution image.
         for params, oc, op in ((cold_atom, 20e3, 5e3), (warm_atom, 240e3, 60e3)):
             def coherence(d):
-                rho = steady_state_matrix(linear_generator(params, d))
+                rho = steady_state_matrix(
+                    hermitian_coordinates(linear_generator(params, d)))
                 return abs(rho[0, 2] + rho[1, 3])
 
             drive = random_drive(rng, oc, op)

@@ -349,12 +349,13 @@ class TestTransmission:
 
 def kernel_residual(gen):
     """The relative residual steady_state_matrix checks, recomputed: the
-    refined solve of the trace-augmented system -gen x + n e0 Tr x = n e0,
-    n the Frobenius norm of gen, taken before Hermitisation."""
-    scale = math.sqrt(np.vdot(gen, gen).real)
+    refined real solve of the trace-augmented system -gen x + n e0 Tr x =
+    n e0, n the Frobenius norm of gen and Tr x the sum of the first four
+    Hermitian coordinates, taken before normalisation."""
+    scale = math.sqrt(np.vdot(gen, gen))
     a = -gen
-    a[0, ::5] += scale
-    b = np.zeros(16, dtype=complex)
+    a[0, :4] += scale
+    b = np.zeros(16)
     b[0] = scale
     x = refined_solve(a, b)
     return np.linalg.norm(gen @ x) / np.linalg.norm(gen)

@@ -16,7 +16,11 @@ from lambdaloop import (
     substitution_image,
 )
 from lambdaloop.core import validate_density_matrix
-from lambdaloop.liouvillian import STEADY_RESIDUAL_TOL
+from lambdaloop.liouvillian import (
+    HERMITIAN_BASIS,
+    STEADY_RESIDUAL_TOL,
+    hermitian_coordinates,
+)
 from lambdaloop.presets import preset_values
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None)
@@ -42,7 +46,8 @@ def atom_and_drive(draw):
 
 
 def linear_steady_state(atom, drive):
-    return steady_state_matrix(linear_generator(atom, drive))
+    return steady_state_matrix(
+        hermitian_coordinates(linear_generator(atom, drive)))
 
 
 @PROPERTY_SETTINGS
@@ -51,7 +56,8 @@ def test_steady_state_valid_with_small_residual(case):
     gen = circular_generator(*case)
     rho = steady_state_matrix(gen)
     validate_density_matrix(rho)
-    residual = np.linalg.norm(gen @ rho.reshape(-1)) / np.linalg.norm(gen)
+    x = HERMITIAN_BASIS @ rho.reshape(-1)
+    residual = np.linalg.norm(gen @ x) / np.linalg.norm(gen)
     assert residual < STEADY_RESIDUAL_TOL
 
 

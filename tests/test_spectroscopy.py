@@ -34,9 +34,11 @@ from lambdaloop import (
 )
 from lambdaloop import liouvillian, spectroscopy
 from lambdaloop.liouvillian import (
+    HERMITIAN_BASIS,
     circular_template,
     commutator_superop,
     dissipator_superop,
+    hermitian_coordinates,
     solve_sideband,
 )
 from lambdaloop.spectroscopy import apply_transfer, peak_time
@@ -46,9 +48,9 @@ STRONG_PROBE = DriveConfig.from_hz(0.0, 0.0, 240e3, 120e3)
 
 def complex_lock_in(params, drive, delta_hz, periods, steps_per_period,
                     sideband_fraction=0.02):
-    """chi_probe_timedomain's leg loop in complex vec(rho) coordinates:
-    both probe pieces, one complex midpoint generator and one complex
-    expm per step, and numpy phase factors."""
+    """chi_probe_timedomain's leg loop in complex arithmetic: both probe
+    pieces, one complex midpoint generator and one complex expm per
+    step, and numpy phase factors."""
     delta = hz_to_angular(delta_hz)
     gen0, rho_start, up, dn = spectroscopy._operating_point(params, drive)
     eta = sideband_fraction * (drive.omega_p or drive.omega_c)
@@ -155,14 +157,32 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("delta_hz", [-15.0, 20.0])
     @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
     def test_real_coordinates_match_complex_loop(self, name, delta_hz):
-        # The oracle steps in liouvillian.HERMITIAN_BASIS coordinates; the
-        # same staircase in complex coordinates differs only by rounding
-        # amplified through the stiff exponentials: 5.9e-7 at most here.
+        # The oracle steps in real arithmetic, one (cos, sin) pair of real
+        # pieces per step; the same staircase in complex arithmetic
+        # differs only by rounding amplified through the stiff
+        # exponentials: 5.9e-7 at most here.
         params, drive = preset_atom(name), preset_drive(name)
         got = chi_probe_timedomain(params, drive, delta_hz, periods=1,
                                    steps_per_period=16)
         want = complex_lock_in(params, drive, delta_hz, 1, 16)
         assert abs(got - want) <= 1e-5 * abs(want)
+
+    @pytest.mark.parametrize("delta_hz", [1e-30, 1e-300])
+    def test_rejects_a_beat_period_too_long_to_step(self, cold_atom,
+                                                    cold_drive, delta_hz):
+        # These returned nan+nanj, silently at 1e-30 and after numpy
+        # overflow warnings at 1e-300; the test filters turn any such
+        # warning into an error, which pytest.raises would not match.
+        with pytest.raises(ValueError, match=(
+                f"^delta_hz = {delta_hz!r} is too small for the lock-in")):
+            chi_probe_timedomain(cold_atom, cold_drive, delta_hz,
+                                 periods=1, steps_per_period=4)
+
+    def test_slow_but_steppable_beat_stays_finite(self, cold_atom,
+                                                  cold_drive):
+        chi = chi_probe_timedomain(cold_atom, cold_drive, 1e-3, periods=1,
+                                   steps_per_period=4)
+        assert np.isfinite(chi)
 
     def test_rejects_zero_detuning(self, warm_atom, warm_drive):
         with pytest.raises(ValueError, match="nonzero"):
@@ -217,17 +237,24 @@ class TestCircularProbeReadout:
 
     @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
     def test_pieces_and_readout_are_rotated_linear_ones(self, name):
-        mix = np.kron(GROUND_MIX, GROUND_MIX)
+        # In Hermitian coordinates; each probe piece alone breaks
+        # Hermiticity, so the helper maps the Hermiticity-preserving
+        # sum and difference of the pair.
+        mix = hermitian_coordinates(np.kron(GROUND_MIX, GROUND_MIX))
         *_, probe, probe_conj = spectroscopy._operating_point(
             preset_atom(name), preset_drive(name)
         )
+        up = commutator_superop(COUPLING_PROBE)
+        down = commutator_superop(COUPLING_PROBE.conj().T)
         linear_row = np.zeros(16)
         linear_row[[2, 7]] = 1.0           # rho_1X, rho_2Y
         cases = (
-            (mix @ probe @ mix, commutator_superop(COUPLING_PROBE)),
-            (mix @ probe_conj @ mix,
-             commutator_superop(COUPLING_PROBE.conj().T)),
-            (spectroscopy._PROBE_ROW @ mix, linear_row),
+            (mix @ (probe + probe_conj) @ mix,
+             hermitian_coordinates(up + down)),
+            (mix @ (1j * (probe - probe_conj)) @ mix,
+             hermitian_coordinates(1j * (up - down))),
+            (spectroscopy._PROBE_ROW @ mix,
+             linear_row @ HERMITIAN_BASIS.conj().T),
         )
         for got, expected in cases:
             assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(
@@ -831,41 +858,35 @@ class TestPulse:
         assert frac * pulse.fwhm == pytest.approx(slope, rel=0.1)
 
 
-# Row-major index of the transposed element: vec(M^T) = vec(M)[TRANSPOSE].
-TRANSPOSE = np.arange(16).reshape(4, 4).T.reshape(-1)
-
-
-def _dagger(vec):
-    """D(v) = conj(vec(mat(v)^T)), i.e. vec(M) -> vec(M^dagger)."""
-    return vec.conj()[TRANSPOSE]
-
-
-def _dagger_map(superop):
-    """D X D for each (16, 16) superoperator X of a stack."""
-    return superop.conj()[..., TRANSPOSE, :][..., TRANSPOSE]
-
-
 class TestSidebandConjugationSymmetry:
     """The identity that lets sideband_transfer solve the +delta and
     -delta sidebands of a stage with one factorisation."""
 
     @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
     def test_dagger_maps_each_piece_to_its_partner(self, name):
-        # static, zeeman, drive_a, drive_a_conj, drive_b, drive_b_conj
-        basis = circular_template(preset_atom(name)).basis
-        assert np.array_equal(_dagger_map(basis), basis[[0, 1, 3, 2, 5, 4]])
+        # In Hermitian coordinates the dagger map is conjugation: it
+        # fixes the real pieces every generator is assembled from and
+        # swaps each drive piece with its partner.
+        template = circular_template(preset_atom(name))
+        assert template.basis.dtype == np.float64
+        pieces = template.drive_pieces
+        assert np.array_equal(pieces.conj(), pieces[[1, 0, 3, 2]])
 
     @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
     def test_steady_state_is_exactly_hermitian(self, name, rng):
+        # The carrier solves in real arithmetic on a real generator, so
+        # mat(T^dagger x) is Hermitian bit for bit with no symmetrisation
+        # step: at the preset drive and at 20 random drives.
         template = circular_template(preset_atom(name))
         drive = preset_drive(name)
-        fields = [input_fields(drive)]
-        fields += [rng.normal(size=2) + 1j * rng.normal(size=2)
-                   for _ in range(4)]
-        for amp_a, amp_b in fields:
-            rho = steady_state_matrix(
-                template.generator(drive.delta_b, amp_a, amp_b)
-            )
+        drives = [(drive.delta_b, *input_fields(drive))]
+        drives += [(hz_to_angular(rng.uniform(-100.0, 100.0)),
+                    *(rng.normal(size=2) + 1j * rng.normal(size=2))
+                    * drive.omega_c) for _ in range(20)]
+        for delta_b, amp_a, amp_b in drives:
+            gen = template.generator(delta_b, amp_a, amp_b)
+            assert gen.dtype == np.float64
+            rho = steady_state_matrix(gen)
             assert np.array_equal(rho, rho.conj().T)
 
     @pytest.mark.parametrize("delta_hz", [0.0, 7.5])
@@ -875,45 +896,52 @@ class TestSidebandConjugationSymmetry:
         gen = template.generator(warm_drive.delta_b,
                                  *input_fields(warm_drive))
         vec = steady_state_matrix(gen).reshape(-1)
+        x0 = HERMITIAN_BASIS @ vec
         e1, e2, m1c, m2c = rng.normal(size=4) + 1j * rng.normal(size=4)
-        up1, dn1, up2, dn2 = template.basis[2:]
+        up1, dn1, up2, dn2 = template.drive_pieces
         seed_low = (e1 * up1 + e2 * up2 + np.conj(m1c) * dn1
-                    + np.conj(m2c) * dn2) @ vec
+                    + np.conj(m2c) * dn2) @ x0
         seed_high = (np.conj(m1c) * up1 + np.conj(m2c) * up2 + e1 * dn1
-                     + e2 * dn2) @ vec
+                     + e2 * dn2) @ x0
         delta = hz_to_angular(delta_hz)
         low = solve_sideband(gen, delta, seed_low)
         high = solve_sideband(gen, -delta, seed_high)
 
         # The seed block sideband_transfer builds from its state, which
         # holds the +delta field f = conj(m): c = (e1, f1, e2, f2) seeds
-        # -delta, and conj(c) is D of the +delta seed.
-        pieces = (template.basis[2:].reshape(64, 16) @ vec).reshape(4, 16)
+        # -delta, and conj(c) is the conjugate of the +delta seed.  The
+        # seed map reads the carrier in vec coordinates.
+        seed_map = (template.drive_pieces @ HERMITIAN_BASIS).reshape(64, 16)
+        pieces = (seed_map @ vec).reshape(4, 16)
         state = np.array([0.0, 0.0, e1, e2, np.conj(m1c), np.conj(m2c)])
         c = state[[2, 4, 3, 5]]
         seeds = pieces.T @ np.array((c, c.conj())).T
         scale = np.max(np.abs([seed_low, seed_high]))
         assert np.max(np.abs(seeds[:, 0] - seed_low)) <= 1e-13 * scale
-        assert (np.max(np.abs(seeds[:, 1] - _dagger(seed_high)))
+        assert (np.max(np.abs(seeds[:, 1] - seed_high.conj()))
                 <= 1e-13 * scale)
 
         pair = solve_sideband(gen, delta, seeds)
-        high_shared = _dagger(pair[:, 1])
+        high_shared = pair[:, 1].conj()
         scale = np.max(np.abs([low, high]))
         assert np.max(np.abs(pair[:, 0] - low)) <= 1e-13 * scale
         assert np.max(np.abs(high_shared - high)) <= 1e-13 * scale
 
     def test_two_factorisations_per_stage(self, cold_atom, cold_drive,
                                           monkeypatch):
-        # One for the carrier, one for both sidebands: 2 per stage, 4
-        # stages per step, 16 steps.
-        gesv = liouvillian._gesv
+        # One real for the carrier, one complex for both sidebands: 2 per
+        # stage, 4 stages per step, 16 steps.
         calls = []
 
-        def counting(a, b):
-            calls.append(None)
-            return gesv(a, b)
+        def count(name):
+            gesv = getattr(liouvillian, name)
 
-        monkeypatch.setattr(liouvillian, "_gesv", counting)
+            def counting(a, b):
+                calls.append(a.dtype)
+                return gesv(a, b)
+            monkeypatch.setattr(liouvillian, name, counting)
+
+        count("_gesv")
+        count("_real_gesv")
         sideband_transfer(cold_atom, cold_drive, [5.0], 16)
-        assert len(calls) == 2 * 4 * 16
+        assert calls == [np.float64, np.complex128] * 4 * 16

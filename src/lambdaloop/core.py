@@ -9,8 +9,10 @@ the circular pair, and through the probe readout rho_1X + rho_2Y, which
 the spectroscopy module takes in circular indices.
 
 Unit convention: every frequency-like quantity held by these types is an
-angular frequency in rad/s.  Configuration files, presets and the CLI use
-ordinary frequency in Hz; the 2*pi lives at that boundary and nowhere else.
+angular frequency in rad/s.  Configuration files, presets, the CLI, the
+from_hz constructors and every library argument named *_hz (fields_hz,
+deltas_hz, delta_hz, window_hz) use ordinary frequency in Hz; the 2*pi
+lives at that boundary and nowhere else.
 
 The relative phase between the two drive fields is carried on the probe:
 Omega_p = |Omega_p| * exp(i*phi), with the control real and positive.

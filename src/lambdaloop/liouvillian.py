@@ -409,10 +409,8 @@ def evolve_expm(rho0: np.ndarray, generator: np.ndarray,
     rho0 is mapped into Hermitian coordinates, evolved in real
     arithmetic and mapped back, so the result is exactly Hermitian.
     """
-    if not 0.0 <= t_final < math.inf:
-        raise ValueError(
-            f"t_final must be finite and non-negative, got {t_final!r}")
-    t_final = _require_finite_value("t_final", t_final)
+    if _require_finite_value("t_final", t_final) < 0.0:
+        raise ValueError(f"t_final must be non-negative, got {t_final!r}")
     x = (HERMITIAN_BASIS @ np.asarray(rho0, dtype=complex).reshape(-1)).real
     x = expm(generator * t_final) @ x
     return (_FROM_HERMITIAN @ x).reshape(DIM, DIM)

@@ -52,7 +52,7 @@ FIELD_ROWS = np.stack((COUPLING_FIELD1, COUPLING_FIELD2)).reshape(2, -1)
 
 
 class PropagationError(SimulationError):
-    """Steady-state failure at a specific position in the cell."""
+    """A failed stage solve or a diverged field, named by its z."""
 
 
 class RefinementWarning(UserWarning):
@@ -86,21 +86,15 @@ def field_derivative(kappa: float, rho: np.ndarray) -> np.ndarray:
     return (-1j * kappa) * FIELD_ROWS.dot(rho)
 
 
-def carrier_stage(template, delta_b, fields, z, record=None):
+def carrier_stage(template, delta_b, fields, record=None):
     """Generator and vectorised steady state (16,) at (Omega_1, Omega_2)
     = fields[:2], the state in the layout field_derivative reads.
 
     Solves through this module's steady_state_matrix, passing record on;
-    a failure is re-raised as PropagationError naming z.
+    a failure raises SteadyStateError, which z_march names with its z.
     """
     gen = template.generator(delta_b, fields[0], fields[1])
-    try:
-        rho = steady_state_matrix(gen, record=record)
-    except SteadyStateError as exc:
-        raise PropagationError(
-            f"steady-state solve failed at z = {z:.6g} m: {exc}"
-        ) from exc
-    return gen, rho.ravel()
+    return gen, steady_state_matrix(gen, record=record).ravel()
 
 
 def check_steps(n_steps: int) -> None:
@@ -112,19 +106,27 @@ def check_steps(n_steps: int) -> None:
 
 
 def z_march(rhs, state, length, n_steps):
-    """Classical RK4 of dstate/dz = rhs(state, z) over z in [0, length].
+    """Classical RK4 of dstate/dz = rhs(state) over z in [0, length].
 
-    Plain arithmetic only, so the state may be a Python complex or a
-    complex array.  Returns the state at z = length.  A non-finite state
-    raises PropagationError naming the z it was reached at.
+    The one owner of z.  Plain arithmetic only, so the state may be a
+    Python complex or a complex array of any shape.  Returns the state at
+    z = length.  A SteadyStateError in a stage becomes a chained
+    PropagationError naming the stage's z, then the solve's message; a
+    non-finite state raises one naming the z it was reached at.
     """
+    def stage(y, z):
+        try:
+            return rhs(y)
+        except SteadyStateError as exc:
+            raise PropagationError(
+                f"stage solve failed at z = {z:.6g} m: {exc}") from exc
+
     h = length / n_steps
     for k in range(n_steps):
-        z = k * h
-        k1 = rhs(state, z)
-        k2 = rhs(state + 0.5 * h * k1, z + 0.5 * h)
-        k3 = rhs(state + 0.5 * h * k2, z + 0.5 * h)
-        k4 = rhs(state + h * k3, z + h)
+        k1 = stage(state, k * h)
+        k2 = stage(state + 0.5 * h * k1, (k + 0.5) * h)
+        k3 = stage(state + 0.5 * h * k2, (k + 0.5) * h)
+        k4 = stage(state + h * k3, (k + 1) * h)
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # Counting the finite entries costs less per call than .all().
         if np.count_nonzero(np.isfinite(state)) != np.size(state):
@@ -153,8 +155,8 @@ def propagate(fields_in, params: AtomParams, drive: DriveConfig,
 
     template = circular_template(params)
 
-    def rhs(f, z):
-        _, vec = carrier_stage(template, drive.delta_b, f, z, record)
+    def rhs(f):
+        _, vec = carrier_stage(template, drive.delta_b, f, record)
         return field_derivative(kappa, vec)
 
     return z_march(rhs, fields_in, params.cell_length, n_steps)
@@ -235,7 +237,7 @@ def bare_transition_transmission(params: AtomParams,
     unit_trace = np.zeros(4, dtype=complex)
     unit_trace[0] = 1.0
 
-    def rhs(amp, _z):
+    def rhs(amp):
         a = amp * comm_amp + np.conj(amp) * comm_conj + diss
         a[0] = trace_row
         # rho_01 of the row-major vectorized steady state.

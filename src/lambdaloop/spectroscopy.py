@@ -318,11 +318,10 @@ def chi_probe_timedomain(params: AtomParams, drive: DriveConfig,
                         ("steps_per_period", steps_per_period)):
         if _require_int(name, value) <= 0:
             raise ValueError(f"{name} must be positive, got {value!r}")
-    if not 0.0 < sideband_fraction < math.inf:
-        raise ValueError("sideband_fraction must be finite and positive, "
+    if not _require_finite_value("sideband_fraction",
+                                 sideband_fraction) > 0.0:
+        raise ValueError("sideband_fraction must be positive, "
                          f"got {sideband_fraction!r}")
-    sideband_fraction = _require_finite_value("sideband_fraction",
-                                              sideband_fraction)
     if drive.omega_p == drive.omega_c == 0.0:
         raise ValueError("the lock-in oracle needs a field: omega_c and "
                          "omega_p are both 0")
@@ -379,17 +378,18 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
                       deltas_hz, n_steps: int = 128) -> np.ndarray:
     """Thick-medium transfer of a probe-envelope modulation component.
 
-    Co-integrates the degenerate carrier pair together with a probe-mode
-    sideband field e at -delta and its four-wave-mixing conjugate partner
-    f at +delta through the cell; the pair is seeded the way a real
-    envelope modulation populates it (equal amplitudes).  At each
-    integrator stage the carrier steady state feeds the carrier
-    derivatives and the two first-order responses, which share one
-    factorisation through the conjugation symmetry of the module
-    docstring.  Returns the output probe-mode modulation per unit input,
-    one complex value per entry of deltas_hz.  A non-finite detuning
-    raises ValueError before anything is solved; a failed carrier solve
-    or a diverging state raises PropagationError naming z.
+    Co-integrates the degenerate carrier pair, a probe-mode sideband
+    field e at -delta and its four-wave-mixing conjugate partner f at
+    +delta through the cell as the columns of one (2, 3) block of
+    circular pairs; e and f are seeded the way a real envelope modulation
+    populates them (equal amplitudes).  At each integrator stage the
+    carrier steady state feeds the carrier derivatives and the two
+    first-order responses, which share one factorisation through the
+    conjugation symmetry of the module docstring.  Returns the output
+    probe-mode modulation per unit input, one complex value per entry of
+    deltas_hz.  A non-finite detuning raises ValueError before anything
+    is solved; a failed solve or a diverging state raises PropagationError
+    naming z, and a failed sideband solve names delta too.
     """
     check_steps(n_steps)
     deltas = [_require_finite_value("deltas_hz", d)
@@ -403,34 +403,31 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
     # from the carrier state in vec coordinates, as carrier_stage returns
     # it, to seeds in Hermitian coordinates.
     seed_map = (template.drive_pieces @ HERMITIAN_BASIS).reshape(64, 16)
-    # (Omega_1, Omega_2, e1, e2, f1, f2): unit probe modulation in e and f.
+    # Columns: the carrier, e and f; unit probe modulation in e and f.
     unit_probe = to_circular(0.0, 1.0)
-    state_in = np.concatenate([input_fields(drive), unit_probe, unit_probe])
-    # The state entries of the seed coefficients c = (e1, f1, e2, f2).
-    seed_index = np.array([2, 4, 3, 5])
+    state_in = np.column_stack((input_fields(drive), unit_probe, unit_probe))
 
     out = np.empty(len(deltas), dtype=complex)
     for i, d_hz in enumerate(deltas):
         delta = hz_to_angular(d_hz)
 
-        def rhs(state, z):
-            gen, vec = carrier_stage(template, drive.delta_b, state, z)
+        def rhs(state):
+            gen, vec = carrier_stage(template, drive.delta_b, state[:, 0])
             pieces = seed_map.dot(vec).reshape(4, 16)
-            # Column 0 seeds the -delta sideband with c = (e1, f1, e2,
-            # f2); column 1, with conj(c), is the conjugate of the +delta
-            # seed, so the +delta response is conj(x[:, 1]).
-            c = state[seed_index]
-            seeds = pieces.T.dot(np.array((c, c.conj())).T)
+            # Column 0 seeds the -delta sideband with c = (e1, f1, e2, f2),
+            # the e and f columns by row; column 1, with conj(c), seeds the
+            # conjugate of +delta's, so the +delta response is conj(x[:, 1]).
+            c = state[:, 1:]
+            seeds = pieces.T.dot(np.array((c, c.conj())).reshape(2, 4).T)
             x = solve_sideband(gen, delta, seeds)
             np.conjugate(x[:, 1], out=x[:, 1])
-            # The (2, 2) derivative block of the responses, read by
-            # column, is (e, f).
+            # The (2, 2) derivative block of the responses is (e, f).
             sides = (-1j * kappa) * _FIELD_ROWS_H.dot(x)
-            return np.concatenate((field_derivative(kappa, vec),
-                                   sides.T.ravel()))
+            return np.concatenate(
+                (field_derivative(kappa, vec)[:, None], sides), axis=1)
 
         state = z_march(rhs, state_in, params.cell_length, n_steps)
-        out[i] = to_linear(state[2:4])[1]
+        out[i] = to_linear(state[:, 1])[1]
     return out
 
 

@@ -14,6 +14,7 @@ from lambdaloop import (
     cli,
     propagation,
     refractive_spectrum,
+    spectroscopy,
 )
 from lambdaloop.liouvillian import SteadyStateError
 from lambdaloop.cli import (
@@ -449,6 +450,26 @@ def test_main_solver_failure_exits_one(tmp_path, monkeypatch, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "forced failure" in err and "at z = 0 m" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_sideband_failure_exits_one(tmp_path, monkeypatch, capsys):
+    # A NaN seed makes the first sideband solve of the pulse transfer
+    # fail; the message names both its stage's z and its delta.
+    real = spectroscopy.solve_sideband
+
+    def nan_seed(gen, delta, seed):
+        return real(gen, delta, np.full_like(seed, np.nan))
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(spectroscopy, "solve_sideband", nan_seed)
+    code = main(["pulse", "--preset", "fig4-warm", "--fwhm-s", "0.005",
+                 "--peak-omega-p-hz", "60e3", "--steps", "16",
+                 "--out", "failed"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("stage solve failed at z = 0 m: sideband response diverged "
+            "at delta = ") in err
     assert list(tmp_path.iterdir()) == []
 
 

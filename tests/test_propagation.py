@@ -168,15 +168,17 @@ class TestPropagate:
         assert out[1] == fields[1]
         assert probe_power(out) == probe_power(fields)
 
-    @pytest.mark.parametrize("start", [np.array([1.0 + 0j, 2j]), 1.0 + 0j],
-                             ids=["array", "complex"])
+    @pytest.mark.parametrize(
+        "start", [np.array([1.0 + 0j, 2j]), 1.0 + 0j,
+                  np.array([[1.0, 2j, -3.0], [0.5j, 4.0, 1.0 - 1j]])],
+        ids=["array", "complex", "block"])
     def test_z_march_returns_the_end_state(self, start):
         # dy/dz = -y over z in [0, 1]: RK4's amplification per step is the
         # exp(-h) Taylor series to fourth order, so the end state is
         # start * that factor to the power n_steps, in the input's shape.
         n_steps, h = 16, 1.0 / 16
         factor = 1.0 - h + h**2 / 2 - h**3 / 6 + h**4 / 24
-        end = propagation.z_march(lambda y, _z: -y, start, 1.0, n_steps)
+        end = propagation.z_march(lambda y: -y, start, 1.0, n_steps)
         assert np.shape(end) == np.shape(start)
         assert np.allclose(end, start * factor**n_steps, rtol=1e-14, atol=0)
 
@@ -449,15 +451,15 @@ def _sideband_transfer(atom, drive, n_steps):
     return sideband_transfer(atom, drive, [5.0], n_steps)
 
 
-MARCHES = pytest.mark.parametrize(
-    "march", [_propagate, _sideband_transfer],
-    ids=["propagate", "sideband_transfer"],
-)
-
-
 def _pulse_response(atom, drive, n_steps):
     pulse = PulseSpec(fwhm=0.005, peak_omega_p=drive.omega_p, n_samples=256)
     return pulse_response(atom, drive, pulse, n_steps)
+
+
+MARCHES = pytest.mark.parametrize(
+    "march", [_propagate, _sideband_transfer, _pulse_response],
+    ids=["propagate", "sideband_transfer", "pulse_response"],
+)
 
 
 def _bare_transition(atom, _drive, n_steps):
@@ -558,7 +560,36 @@ class TestFailurePaths:
         with pytest.raises(PropagationError) as info:
             march(cold_atom, cold_drive, self.N_STEPS)
         assert str(info.value).startswith(
-            f"steady-state solve failed at z = {2.5 * h:.6g} m: injected"
+            f"stage solve failed at z = {2.5 * h:.6g} m: injected"
+        )
+        assert isinstance(info.value.__cause__, SteadyStateError)
+
+    @pytest.mark.parametrize("step, stage", [(0, 0), (2, 2), (5, 3)])
+    @pytest.mark.parametrize(
+        "march", [_sideband_transfer, _pulse_response],
+        ids=["sideband_transfer", "pulse_response"])
+    def test_sideband_failure_names_stage_z_and_delta(
+            self, cold_atom, cold_drive, monkeypatch, march, step, stage):
+        # A NaN seed at stage s of 0-based step k of the first bin makes
+        # the real sideband solve raise, naming its delta; that stage
+        # solves at z = (k + (0, 1/2, 1/2, 1)[s]) h.
+        real = spectroscopy.solve_sideband
+        deltas = []
+
+        def hooked(gen, delta, seed):
+            deltas.append(delta)
+            if len(deltas) == 4 * step + stage + 1:
+                seed = np.full_like(seed, np.nan)
+            return real(gen, delta, seed)
+
+        monkeypatch.setattr(spectroscopy, "solve_sideband", hooked)
+        h = cold_atom.cell_length / self.N_STEPS
+        z = (step + (0.0, 0.5, 0.5, 1.0)[stage]) * h
+        with pytest.raises(PropagationError) as info:
+            march(cold_atom, cold_drive, self.N_STEPS)
+        assert str(info.value) == (
+            f"stage solve failed at z = {z:.6g} m: sideband response "
+            f"diverged at delta = {deltas[-1] / (2.0 * math.pi):.6g} Hz"
         )
         assert isinstance(info.value.__cause__, SteadyStateError)
 
@@ -596,7 +627,7 @@ class TestFailurePaths:
         with pytest.raises(PropagationError) as info:
             propagate(fields, cold_atom, cold_drive, self.N_STEPS)
         assert str(info.value) == (
-            "steady-state solve failed at z = 0 m: "
+            "stage solve failed at z = 0 m: "
             "generator has non-finite entries"
         )
         assert isinstance(info.value.__cause__, SteadyStateError)

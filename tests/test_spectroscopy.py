@@ -206,13 +206,13 @@ class TestOracleAgreement:
         ({"steps_per_period": 16.0},
          "steps_per_period must be an integer, got 16.0"),
         ({"sideband_fraction": 0.0},
-         "sideband_fraction must be finite and positive, got 0.0"),
+         "sideband_fraction must be positive, got 0.0"),
         ({"sideband_fraction": -0.02},
-         "sideband_fraction must be finite and positive, got -0.02"),
+         "sideband_fraction must be positive, got -0.02"),
         ({"sideband_fraction": np.nan},
-         "sideband_fraction must be finite and positive, got nan"),
+         "sideband_fraction must be finite, got nan"),
         ({"sideband_fraction": np.inf},
-         "sideband_fraction must be finite and positive, got inf"),
+         "sideband_fraction must be finite, got inf"),
         ({"drive": DriveConfig(0.0, 0.0, 0.0, 0.0)},
          "the lock-in oracle needs a field: omega_c and omega_p are both 0"),
     ])
@@ -836,10 +836,10 @@ class TestPulse:
         sideband_transfer(preset_atom(name), preset_drive(name),
                           deltas + [-d for d in deltas], 64)
         for plus, minus in zip(ends[:3], ends[3:]):
-            assert np.array_equal(plus[:2], minus[:2])
-            scale = np.max(np.abs(minus[2:]))
-            assert np.max(np.abs(plus[4:6] - minus[2:4])) <= 1e-13 * scale
-            assert np.max(np.abs(plus[2:4] - minus[4:6])) <= 1e-13 * scale
+            assert np.array_equal(plus[:, 0], minus[:, 0])
+            scale = np.max(np.abs(minus[:, 1:]))
+            assert np.max(np.abs(plus[:, 2] - minus[:, 1])) <= 1e-13 * scale
+            assert np.max(np.abs(plus[:, 1] - minus[:, 2])) <= 1e-13 * scale
 
     def test_transfer_grid_converged(self, warm_atom, warm_drive):
         coarse = sideband_transfer(warm_atom, warm_drive, [12.0], 96)[0]

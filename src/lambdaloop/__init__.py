@@ -19,6 +19,7 @@ from .core import (
 )
 from .liouvillian import (
     SteadyStateError,
+    density_matrix,
     evolve_expm,
     nullspace_dimension,
     steady_state_matrix,
@@ -62,6 +63,7 @@ __all__ = [
     "bare_transition_transmission",
     "calibrate_kappa",
     "chi_probe_timedomain",
+    "density_matrix",
     "evolve_expm",
     "group_velocity_class",
     "hz_to_angular",

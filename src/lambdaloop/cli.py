@@ -13,10 +13,11 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,11 +28,12 @@ from .core import (
     DriveConfig,
     _require_finite_value,
     _require_int,
+    check_grid,
     input_fields,
 )
 from .presets import ATOM_KEYS, DRIVE_KEYS, from_keys, preset_values
-from .propagation import MIN_STEPS, transmission
-from .liouvillian import circular_template, steady_state_matrix
+from .propagation import MIN_STEPS, probe_input, transmission
+from .liouvillian import circular_template, density_matrix, steady_state_matrix
 from .spectroscopy import (
     PulseSpec,
     modulation_depth,
@@ -169,8 +171,6 @@ def _resolve(entries: dict) -> RunConfig:
     atom = build(AtomParams, ATOM_KEYS, "atom")
     drive = build(DriveConfig, DRIVE_KEYS, "drive")
 
-    if mode in ("transmit", "sweep-phase", "sweep-b") and drive.omega_p == 0.0:
-        err("omega_p_hz", "transmission requires a nonzero probe amplitude")
     if mode in Z_MARCH_MODES and values["steps"] < MIN_STEPS:
         err("steps", f"steps must be >= {MIN_STEPS}, got {values['steps']}")
     if mode in SWEEP_MODES:
@@ -183,6 +183,21 @@ def _resolve(entries: dict) -> RunConfig:
             err("points", f"sweep modes need points >= 2, got {values['points']}")
         if not values["sweep_stop"] > values["sweep_start"]:
             err("sweep_stop", "sweep_stop must exceed sweep_start")
+        # A grid the three keys make together is reported at the first
+        # line that sets one of them.
+        try:
+            grid = check_grid(_sweep_grid(values), "sweep grid")
+        except ValueError as exc:
+            err(min(SWEEP_KEYS, key=lambda k: lines.get(k) or math.inf),
+                str(exc))
+    if mode in ("transmit", "sweep-phase", "sweep-b"):
+        # The probe is read back at every phase the run drives it at.
+        phases = grid.tolist() if mode == "sweep-phase" else [drive.phi]
+        try:
+            for phi in phases:
+                probe_input(replace(drive, phi=phi))
+        except ValueError as exc:
+            err("omega_p_hz", str(exc))
     pulse = None
     if mode == "pulse":
         pulse = build(PulseSpec, PULSE_KEYS, "pulse")
@@ -219,19 +234,23 @@ def _write_sidecar(path: str, config: RunConfig, diagnostics: dict) -> None:
         fh.write("\n")
 
 
-def _sweep_grid(config: RunConfig, endpoint: bool) -> np.ndarray:
-    raw = config.raw
-    return np.linspace(raw["sweep_start"], raw["sweep_stop"], raw["points"],
-                       endpoint=endpoint)
+def _sweep_grid(values: dict) -> np.ndarray:
+    """The grid a sweep mode runs over, sweep_stop excluded for the phase
+    period of sweep-phase.  A span or step that overflows gives
+    non-finite values, which check_grid rejects, and no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linspace(values["sweep_start"], values["sweep_stop"],
+                           values["points"],
+                           endpoint=values["mode"] != "sweep-phase")
 
 
 # Each mode computes its result, adds to the diagnostics and returns the
 # CSV header and rows.
 
 def _steady(config: RunConfig, diagnostics: dict):
-    rho = steady_state_matrix(circular_template(config.atom).generator(
-        config.drive.delta_b, *input_fields(config.drive)
-    ))
+    gen = circular_template(config.atom).generator(
+        config.drive.delta_b, *input_fields(config.drive))
+    rho = density_matrix(steady_state_matrix(gen))
     rows = [[bra, ket, float(rho[i, j].real), float(rho[i, j].imag)]
             for i, bra in enumerate(CIRCULAR_LABELS)
             for j, ket in enumerate(CIRCULAR_LABELS)]
@@ -246,12 +265,12 @@ def _transmit(config: RunConfig, diagnostics: dict):
     return ["transmission_ratio"], [[float(value)]]
 
 
-def _transmission_sweep(sweep, endpoint: bool):
+def _transmission_sweep(sweep):
     """Mode computing transmission over a phase or B-field grid."""
 
     def compute(config: RunConfig, diagnostics: dict):
-        curve = sweep(config.atom, config.drive,
-                      _sweep_grid(config, endpoint), config.raw["steps"])
+        curve = sweep(config.atom, config.drive, _sweep_grid(config.raw),
+                      config.raw["steps"])
         diagnostics["modulation_depth"] = modulation_depth(curve)
         return ([curve.abscissa_name, "transmission_ratio"],
                 zip(curve.xs.tolist(), curve.ys.tolist()))
@@ -261,7 +280,7 @@ def _transmission_sweep(sweep, endpoint: bool):
 
 def _spectrum(config: RunConfig, diagnostics: dict):
     curve = refractive_spectrum(config.atom, config.drive,
-                                _sweep_grid(config, endpoint=True))
+                                _sweep_grid(config.raw))
     return ([curve.abscissa_name, "re_chi_au", "im_chi_au"],
             zip(curve.xs.tolist(), curve.ys.real.tolist(),
                 curve.ys.imag.tolist()))
@@ -282,8 +301,8 @@ def _pulse(config: RunConfig, diagnostics: dict):
 RUNNERS = {
     "steady": _steady,
     "transmit": _transmit,
-    "sweep-phase": _transmission_sweep(sweep_phase, endpoint=False),
-    "sweep-b": _transmission_sweep(sweep_bfield, endpoint=True),
+    "sweep-phase": _transmission_sweep(sweep_phase),
+    "sweep-b": _transmission_sweep(sweep_bfield),
     "spectrum": _spectrum,
     "pulse": _pulse,
 }

@@ -35,7 +35,8 @@ coherence decay (gamma_coh - gamma_pop) is pure dephasing, which requires
 gamma_coh >= gamma_pop.  With this set the circular ground population
 difference decays at exactly gamma_pop and rho_34 at exactly gamma_coh.
 The superoperator builders (commutator_superop, dissipator_superop) work
-in vec coordinates.
+in vec coordinates; only this module maps to x, which steady_state_matrix
+returns, FIELD_ROWS read and density_matrix turns into a 4x4 state.
 """
 from __future__ import annotations
 
@@ -159,6 +160,17 @@ HERMITIAN_BASIS = _hermitian_basis()
 #: Its inverse T^dagger, read-only: vec(rho) = T^dagger x.
 _FROM_HERMITIAN = HERMITIAN_BASIS.conj().T.copy()
 _FROM_HERMITIAN.flags.writeable = False
+
+#: Read-only rows Tr(V_k^dagger rho), one per circular coupling V_k, on
+#: the coordinates x of rho: vec(V_k), which is real, times T^dagger.
+FIELD_ROWS = (np.stack((COUPLING_FIELD1, COUPLING_FIELD2)).reshape(2, -1)
+              @ _FROM_HERMITIAN)
+FIELD_ROWS.flags.writeable = False
+
+
+def density_matrix(x: np.ndarray) -> np.ndarray:
+    """mat(T^dagger x) as a new 4x4 array, exactly Hermitian for real x."""
+    return _FROM_HERMITIAN.dot(x).reshape(DIM, DIM)
 
 
 def hermitian_coordinates(superop: np.ndarray) -> np.ndarray:
@@ -301,7 +313,8 @@ def _unscalable(generator: np.ndarray, norm: float) -> SteadyStateError:
 
 def steady_state_matrix(generator: np.ndarray, *,
                         record: dict | None = None) -> np.ndarray:
-    """Unique unit-trace kernel element of the generator as a 4x4 matrix.
+    """Unique unit-trace kernel element x of the generator, a float64
+    array of shape (16,) in its Hermitian coordinates.
 
     Solves the real system M(0) x = n e0 of the module docstring, with n
     the generator's Frobenius norm, by LU with one step of iterative
@@ -312,7 +325,8 @@ def steady_state_matrix(generator: np.ndarray, *,
     the vec-coordinate system.  With a record, the checked relative
     residual ||generator x|| / ||generator||_F of the refined solution x
     is folded into record["max_steady_residual"] as a running max.  The
-    state mat(T^dagger x) is exactly Hermitian, since x is real.
+    state density_matrix(x), exactly Hermitian since x is real, must
+    pass validate_density_matrix.
     """
     norm = _generator_norm(generator)
     if not 0.0 < norm < math.inf:
@@ -343,12 +357,11 @@ def steady_state_matrix(generator: np.ndarray, *,
     # Divided by its trace, the sum of the populations in ndarray.trace's
     # pairwise order.
     x /= (x[0] + x[1]) + (x[2] + x[3])
-    rho = _FROM_HERMITIAN.dot(x).reshape(DIM, DIM)
     try:
-        validate_density_matrix(rho)
+        validate_density_matrix(density_matrix(x))
     except ValueError as exc:
         raise SteadyStateError(f"steady state is unphysical: {exc}") from exc
-    return rho
+    return x
 
 
 @functools.lru_cache(maxsize=8)
@@ -412,8 +425,7 @@ def evolve_expm(rho0: np.ndarray, generator: np.ndarray,
     if _require_finite_value("t_final", t_final) < 0.0:
         raise ValueError(f"t_final must be non-negative, got {t_final!r}")
     x = (HERMITIAN_BASIS @ np.asarray(rho0, dtype=complex).reshape(-1)).real
-    x = expm(generator * t_final) @ x
-    return (_FROM_HERMITIAN @ x).reshape(DIM, DIM)
+    return density_matrix(expm(generator * t_final) @ x)
 
 
 def substitution_image(drive: DriveConfig) -> DriveConfig:

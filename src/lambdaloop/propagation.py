@@ -31,8 +31,7 @@ from .core import (
     to_linear,
 )
 from .liouvillian import (
-    COUPLING_FIELD1,
-    COUPLING_FIELD2,
+    FIELD_ROWS,
     SteadyStateError,
     circular_template,
     commutator_superop,
@@ -45,10 +44,6 @@ REFINEMENT_TOL = 1e-6
 
 #: Fewest z steps any march accepts.
 MIN_STEPS = 16
-
-#: Row functionals Tr(V_k^dagger rho) on a vectorised state, one per field:
-#: the row-major flattening of each circular coupling V_k, which is real.
-FIELD_ROWS = np.stack((COUPLING_FIELD1, COUPLING_FIELD2)).reshape(2, -1)
 
 
 class PropagationError(SimulationError):
@@ -75,26 +70,23 @@ def probe_power(fields) -> float:
     return abs(to_linear(fields)[1]) ** 2
 
 
-def field_derivative(kappa: float, rho: np.ndarray) -> np.ndarray:
-    """d(Omega_1, Omega_2)/dz = -i kappa Tr(V_k^dagger rho), k = 1, 2.
-
-    rho is a vectorised state (16,) or a (16, k) block of vectorised
-    states, one per column, all read in one product; the result is (2,)
-    or (2, k).
-    """
-    # ndarray.dot: less per-call overhead than @ on these small operands.
-    return (-1j * kappa) * FIELD_ROWS.dot(rho)
+def field_rows(kappa: float) -> np.ndarray:
+    """Rows -i kappa FIELD_ROWS, built once per march: their ndarray.dot
+    with the coordinates x of a state, or a (16, k) block of them, is
+    d(Omega_1, Omega_2)/dz = -i kappa Tr(V_k^dagger rho), k = 1, 2."""
+    return (-1j * kappa) * FIELD_ROWS
 
 
 def carrier_stage(template, delta_b, fields, record=None):
-    """Generator and vectorised steady state (16,) at (Omega_1, Omega_2)
-    = fields[:2], the state in the layout field_derivative reads.
+    """Generator and steady state at (Omega_1, Omega_2) = fields[:2]: the
+    state as the real (16,) coordinates x that steady_state_matrix
+    returns, the vector field_rows reads.
 
     Solves through this module's steady_state_matrix, passing record on;
     a failure raises SteadyStateError, which z_march names with its z.
     """
     gen = template.generator(delta_b, fields[0], fields[1])
-    return gen, steady_state_matrix(gen, record=record).ravel()
+    return gen, steady_state_matrix(gen, record=record)
 
 
 def check_steps(n_steps: int) -> None:
@@ -154,31 +146,23 @@ def propagate(fields_in, params: AtomParams, drive: DriveConfig,
         return fields_in.copy()
 
     template = circular_template(params)
+    rows = field_rows(kappa)
 
     def rhs(f):
-        _, vec = carrier_stage(template, drive.delta_b, f, record)
-        return field_derivative(kappa, vec)
+        _, x = carrier_stage(template, drive.delta_b, f, record)
+        return rows.dot(x)
 
     return z_march(rhs, fields_in, params.cell_length, n_steps)
 
 
-def transmission(params: AtomParams, drive: DriveConfig, n_steps: int = 256,
-                 *, verify_refinement: bool = False,
-                 record: dict | None = None) -> float:
-    """Probe intensity transmission, output power over input power.
+def probe_input(drive: DriveConfig) -> tuple[np.ndarray, float]:
+    """The circular input pair of drive and its probe power read back.
 
-    Values above 1 are physical: the closed-loop medium can pump power
-    from the control into the probe.  The input probe power is read back
-    from the circular input pair, where (Omega_c +/- Omega_p)/sqrt(2)
-    cancel; a probe so weak that this read-back is 0 or off |Omega_p|^2
-    by more than REFINEMENT_TOL relative raises ValueError before
-    anything is solved.  A record, if given, goes to the n_steps march.
-
-    This function owns the grid-refinement check: with verify_refinement
-    the march is repeated at 2*n_steps without the record, and a
-    RefinementWarning naming the caller's line is emitted if the output
-    probe power moved by more than REFINEMENT_TOL relative; the record
-    also receives that change as refinement_delta.
+    Every check transmission makes on the probe, one function so that
+    the CLI makes the same ones: a zero probe, or one so weak that its
+    power read back from the circular pair, where (Omega_c +/- Omega_p)
+    /sqrt(2) cancel, is 0 or off |Omega_p|^2 by more than REFINEMENT_TOL
+    relative, raises ValueError.
     """
     if drive.omega_p <= 0.0:
         raise ValueError("transmission requires a nonzero probe amplitude")
@@ -192,6 +176,27 @@ def transmission(params: AtomParams, drive: DriveConfig, n_steps: int = 256,
             f"the circular pair: its probe power reads back as {p_in:.6g} "
             f"against omega_p^2 = {p_drive:.6g} (rad/s)^2"
         )
+    return fields_in, p_in
+
+
+def transmission(params: AtomParams, drive: DriveConfig, n_steps: int = 256,
+                 *, verify_refinement: bool = False,
+                 record: dict | None = None) -> float:
+    """Probe intensity transmission, output power over input power.
+
+    Values above 1 are physical: the closed-loop medium can pump power
+    from the control into the probe.  The input probe power is read back
+    from the circular input pair by probe_input, which rejects a zero or
+    unresolved probe before anything is solved.  A record, if given,
+    goes to the n_steps march.
+
+    This function owns the grid-refinement check: with verify_refinement
+    the march is repeated at 2*n_steps without the record, and a
+    RefinementWarning naming the caller's line is emitted if the output
+    probe power moved by more than REFINEMENT_TOL relative; the record
+    also receives that change as refinement_delta.
+    """
+    fields_in, p_in = probe_input(drive)
     p_out = probe_power(
         propagate(fields_in, params, drive, n_steps, record=record))
     if verify_refinement:
@@ -236,12 +241,13 @@ def bare_transition_transmission(params: AtomParams,
     trace_row = np.eye(2).reshape(-1)
     unit_trace = np.zeros(4, dtype=complex)
     unit_trace[0] = 1.0
+    scale = -1j * kappa
 
     def rhs(amp):
         a = amp * comm_amp + np.conj(amp) * comm_conj + diss
         a[0] = trace_row
         # rho_01 of the row-major vectorized steady state.
-        return -1j * kappa * np.linalg.solve(a, unit_trace)[1]
+        return scale * np.linalg.solve(a, unit_trace)[1]
 
     amp = z_march(rhs, complex(omega_probe), params.cell_length, n_steps)
     return abs(amp) ** 2 / omega_probe**2

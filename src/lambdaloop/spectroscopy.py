@@ -51,9 +51,7 @@ stage.  In these coordinates the map vec(M) -> vec(M^dagger) is complex
 conjugation, which fixes every generator and the carrier state and maps
 each drive piece to its partner, bit for bit.  So the conjugate of the
 +delta seed has the coefficients conj(c), and the +delta response is
-conj(y) with (-i*delta - L) y = conj(seed), the -delta matrix.  The
-carrier state is read in vec coordinates, as steady_state_matrix
-returns it, and both responses in Hermitian coordinates.
+conj(y) with (-i*delta - L) y = conj(seed), the -delta matrix.
 """
 from __future__ import annotations
 
@@ -80,17 +78,16 @@ from .core import (
     to_linear,
 )
 from .liouvillian import (
-    HERMITIAN_BASIS,
+    FIELD_ROWS,
     circular_template,
     solve_sideband,
     steady_state_matrix,
 )
 from .propagation import (
-    FIELD_ROWS,
     calibrate_kappa,
     carrier_stage,
     check_steps,
-    field_derivative,
+    field_rows,
     transmission,
     z_march,
 )
@@ -102,13 +99,10 @@ CHI_SIGN = -1.0
 #: left at unity.
 PULSE_SPECTRUM_CUTOFF = 1e-8
 
-#: propagation.FIELD_ROWS reading a state in Hermitian coordinates.
-_FIELD_ROWS_H = FIELD_ROWS @ HERMITIAN_BASIS.conj().T
-
 #: Row functional reading the probe coherence rho_1X + rho_2Y off a state
 #: in Hermitian coordinates: Tr(V_p^dagger rho), the probe mode of the
 #: field rows.
-_PROBE_ROW = to_linear(_FIELD_ROWS_H)[1]
+_PROBE_ROW = to_linear(FIELD_ROWS)[1]
 
 
 class WeakProbeWarning(UserWarning):
@@ -162,9 +156,9 @@ def _operating_point(params: AtomParams, drive: DriveConfig):
     """The point every first-order sideband linearizes around.
 
     Returns the degenerate circular-basis generator gen0 at the input
-    fields, its steady state and the probe-sideband superoperators
-    (probe, probe_conj), all in Hermitian coordinates: the state is real
-    and probe_conj = conj(probe).  The pair is the derivatives of the
+    fields, its steady state x and the probe-sideband superoperators
+    (probe, probe_conj), all in Hermitian coordinates: x is real and
+    probe_conj = conj(probe).  The pair is the derivatives of the
     generator in Omega_p and conj(Omega_p), read through core.to_linear
     as the probe mode of the template's drive pieces (X_a, conj(X_a))
     and (X_b, conj(X_b)).
@@ -173,10 +167,7 @@ def _operating_point(params: AtomParams, drive: DriveConfig):
     gen0 = template.generator(drive.delta_b, *input_fields(drive))
     pieces = template.drive_pieces
     probe, probe_conj = to_linear((pieces[0:2], pieces[2:4]))[1]
-    # The state's one map into Hermitian coordinates: the imaginary
-    # parts are exact zeros, as the state is exactly Hermitian.
-    rho0 = (HERMITIAN_BASIS @ steady_state_matrix(gen0).reshape(-1)).real
-    return gen0, rho0, probe, probe_conj
+    return gen0, steady_state_matrix(gen0), probe, probe_conj
 
 
 def _warn_if_truncated(estimate: float, delta: float,
@@ -300,9 +291,9 @@ def chi_probe_timedomain(params: AtomParams, drive: DriveConfig,
     coefficient of rho_1X + rho_2Y over an integer number of beat
     periods.  The frozen-phase staircase leaves an error linear in the
     step size, removed by one Richardson extrapolation (run at n and 2n
-    steps per period).  It steps in real Hermitian coordinates,
-    liouvillian.HERMITIAN_BASIS, where every midpoint generator is a
-    real matrix: one real expm and one real product per step.  delta_hz
+    steps per period).  It steps in the liouvillian's real Hermitian
+    coordinates, where every midpoint generator is a real matrix: one
+    real expm and one real product per step.  delta_hz
     must be finite and nonzero, periods and steps_per_period positive
     integers, sideband_fraction finite and positive, and omega_c or
     omega_p nonzero (the sideband is that fraction of omega_p, or else of
@@ -399,10 +390,10 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
         return np.ones(len(deltas), dtype=complex)
 
     template = circular_template(params)
+    rows = field_rows(kappa)
     # The drive pieces X_a, conj(X_a), X_b, conj(X_b) as one (64, 16) map
-    # from the carrier state in vec coordinates, as carrier_stage returns
-    # it, to seeds in Hermitian coordinates.
-    seed_map = (template.drive_pieces @ HERMITIAN_BASIS).reshape(64, 16)
+    # from the carrier state x to the four seeds.
+    seed_map = template.drive_pieces.reshape(64, 16)
     # Columns: the carrier, e and f; unit probe modulation in e and f.
     unit_probe = to_circular(0.0, 1.0)
     state_in = np.column_stack((input_fields(drive), unit_probe, unit_probe))
@@ -412,19 +403,17 @@ def sideband_transfer(params: AtomParams, drive: DriveConfig,
         delta = hz_to_angular(d_hz)
 
         def rhs(state):
-            gen, vec = carrier_stage(template, drive.delta_b, state[:, 0])
-            pieces = seed_map.dot(vec).reshape(4, 16)
+            gen, x = carrier_stage(template, drive.delta_b, state[:, 0])
+            pieces = seed_map.dot(x).reshape(4, 16)
             # Column 0 seeds the -delta sideband with c = (e1, f1, e2, f2),
             # the e and f columns by row; column 1, with conj(c), seeds the
-            # conjugate of +delta's, so the +delta response is conj(x[:, 1]).
+            # conjugate of +delta's, so the +delta response is conj(y[:, 1]).
             c = state[:, 1:]
             seeds = pieces.T.dot(np.array((c, c.conj())).reshape(2, 4).T)
-            x = solve_sideband(gen, delta, seeds)
-            np.conjugate(x[:, 1], out=x[:, 1])
-            # The (2, 2) derivative block of the responses is (e, f).
-            sides = (-1j * kappa) * _FIELD_ROWS_H.dot(x)
-            return np.concatenate(
-                (field_derivative(kappa, vec)[:, None], sides), axis=1)
+            y = solve_sideband(gen, delta, seeds)
+            np.conjugate(y[:, 1], out=y[:, 1])
+            # The (2, 3) derivative block of the carrier, e and f.
+            return rows.dot(np.concatenate((x[:, None], y), axis=1))
 
         state = z_march(rhs, state_in, params.cell_length, n_steps)
         out[i] = to_linear(state[:, 1])[1]

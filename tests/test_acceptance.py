@@ -19,6 +19,7 @@ from lambdaloop import (
     WeakProbeWarning,
     bare_transition_transmission,
     chi_probe_timedomain,
+    density_matrix,
     evolve_expm,
     group_velocity_class,
     hz_to_angular,
@@ -281,7 +282,7 @@ def test_criterion_7_steady_state_oracle():
                     op_hz * rng.uniform(0.5, 1.5),
                 )
                 gen = circular_generator(params, drive)
-                direct = steady_state_matrix(gen)
+                direct = density_matrix(steady_state_matrix(gen))
                 evolved = evolve_expm(start_state, gen, horizon)
                 worst = max(worst, float(np.max(np.abs(direct - evolved))))
         return worst
@@ -373,7 +374,8 @@ def test_criterion_11_state_validity(transmission_grids):
             db = rng.choice(transmission_grids["db_grid"])
             phi = rng.choice(transmission_grids["phis"])
             d = replace(drive, delta_b=hz_to_angular(db), phi=float(phi))
-            rho = steady_state_matrix(circular_generator(params, d))
+            rho = density_matrix(
+                steady_state_matrix(circular_generator(params, d)))
             assert abs(np.trace(rho).real - 1.0) < 1e-10
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
             assert np.linalg.eigvalsh(rho).min() >= -1e-9

@@ -23,6 +23,7 @@ from lambdaloop.cli import (
     INT_KEYS,
     MODES,
     PULSE_KEYS,
+    SWEEP_MODES,
     ConfigError,
     build_arg_parser,
     main,
@@ -437,6 +438,37 @@ def test_main_rejects_unresolved_probe(tmp_path, monkeypatch, capsys,
     assert err.startswith("error: omega_p = ")
     assert "below the resolution of the circular pair" in err
     assert list(tmp_path.iterdir()) == []
+    # Read from a file, the same rejection names the line, in each mode
+    # that computes a transmission.
+    config = tmp_path / "weak.cfg"
+    config.write_text(f"preset = fig3-cold\nod = 0.15\nomega_p_hz = "
+                      f"{omega_p_hz}\nsweep_start = 0\nsweep_stop = 1\n"
+                      "points = 2\n")
+    for mode in ("transmit", "sweep-phase", "sweep-b"):
+        assert main([mode, "--config", str(config), "--steps", "16"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: omega_p = ")
+        assert "below the resolution of the circular pair" in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_sweep_phase_reads_the_probe_back_at_every_phase(tmp_path,
+                                                         monkeypatch, capsys):
+    # A 2e-6 Hz probe reads back within REFINEMENT_TOL at the file's
+    # phi = 0 but not at four of the 64 sweep phases, where the sweep
+    # used to stop mid-run with the message and no line.
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "phase.cfg"
+    config.write_text("preset = fig3-cold\nod = 0\nomega_p_hz = 2e-6\n"
+                      "phi_rad = 0\nsweep_start = 0\n"
+                      "sweep_stop = 6.283185307179586\npoints = 64\n")
+    assert main(["transmit", "--config", str(config), "--out", "one"]) == 0
+    assert main(["sweep-phase", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: omega_p = ")
+    assert "below the resolution of the circular pair" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "one.csv", "one.json", "phase.cfg"]
 
 
 def test_main_solver_failure_exits_one(tmp_path, monkeypatch, capsys):
@@ -698,6 +730,40 @@ def test_non_finite_sweep_bound_reports_its_line(tmp_path, monkeypatch,
     config.write_text("preset = fig3-cold\nod = 0\n" + bounds + "points = 2\n")
     assert main([mode, "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+    assert not recwarn.list
+    assert list(tmp_path.iterdir()) == [config]
+
+
+OVERFLOWING_GRID = (("sweep_start", "-1e308"), ("sweep_stop", "1e308"),
+                    ("points", "4"))
+
+
+@pytest.mark.parametrize("mode, keys, message", [
+    *((mode, OVERFLOWING_GRID, "sweep grid value must be finite, got nan")
+      for mode in SWEEP_MODES),
+    ("spectrum", (("points", "3"), ("sweep_start", "1"),
+                  ("sweep_stop", "1.0000000000000002")),
+     "sweep grid values must be strictly increasing"),
+    ("sweep-b", (("sweep_stop", "1e-322"), ("sweep_start", "0"),
+                 ("points", "64")),
+     "sweep grid values must be strictly increasing"),
+], ids=[f"overflow-{mode}" for mode in SWEEP_MODES]
+    + ["spectrum-ulp", "sweep-b-subnormal"])
+def test_rejected_sweep_grid_reports_its_first_line(
+        tmp_path, monkeypatch, capsys, recwarn, mode, keys, message):
+    # Bounds that pass their own checks but make a grid the library
+    # rejects: its span overflows, or its points round onto each other.
+    # Reported at the first line that sets a sweep key (line 3), before
+    # any solve and with no numpy warning; from flags, without a line.
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "grid.cfg"
+    config.write_text("preset = fig3-cold\nod = 0\n"
+                      + "".join(f"{key} = {value}\n" for key, value in keys))
+    assert main([mode, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: line 3: {message}\n"
+    flags = [f"{_flag(key)}={value}" for key, value in keys]
+    assert main([mode, "--preset", "fig3-cold", "--od", "0", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not recwarn.list
     assert list(tmp_path.iterdir()) == [config]
 

@@ -10,6 +10,7 @@ from lambdaloop import (
     AtomParams,
     Curve,
     DriveConfig,
+    density_matrix,
     preset_atom,
     preset_drive,
     steady_state_matrix,
@@ -321,7 +322,7 @@ class TestDensityMatrixValidation:
             drive = preset_drive(name)
             gen = circular_template(preset_atom(name)).generator(
                 drive.delta_b, *input_fields(drive))
-            states.append(steady_state_matrix(gen))
+            states.append(density_matrix(steady_state_matrix(gen)))
 
         def forbidden(*_args, **_kwargs):
             raise AssertionError("heevd called on a positive-definite state")

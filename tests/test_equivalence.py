@@ -24,6 +24,7 @@ import pytest
 from lambdaloop import (
     WeakProbeWarning,
     bare_transition_transmission,
+    density_matrix,
     hz_to_angular,
     input_fields,
     preset_atom,
@@ -105,7 +106,7 @@ def _steady_state(name):
                     phi=1.75 * np.pi)
     gen = circular_template(atom).generator(drive.delta_b,
                                             *input_fields(drive))
-    return steady_state_matrix(gen)
+    return density_matrix(steady_state_matrix(gen))
 
 
 CASES = {

@@ -9,6 +9,7 @@ from lambdaloop import (
     AtomParams,
     DriveConfig,
     SteadyStateError,
+    density_matrix,
     evolve_expm,
     input_fields,
     nullspace_dimension,
@@ -315,7 +316,20 @@ class TestRefinedSolve:
 class TestSteadyState:
     def test_zero_drive(self, cold_atom):
         gen = circular_generator(cold_atom, DriveConfig(0, 0, 0, 0))
-        assert np.allclose(steady_state_matrix(gen), UNPOLARIZED, atol=1e-12)
+        assert np.allclose(density_matrix(steady_state_matrix(gen)),
+                           UNPOLARIZED, atol=1e-12)
+
+    def test_returns_real_hermitian_coordinates(self, cold_atom, cold_drive):
+        # The solution x itself, in the coordinates of its generator: the
+        # populations sum to one and density_matrix reads x as the state.
+        gen = circular_generator(cold_atom, cold_drive)
+        x = steady_state_matrix(gen)
+        assert x.dtype == np.float64 and x.shape == (16,)
+        assert abs(x[:4].sum() - 1.0) <= 1e-15
+        assert np.abs(gen @ x).max() <= 1e-8 * np.linalg.norm(gen)
+        rho = density_matrix(x)
+        assert np.array_equal(rho, rho.conj().T)
+        assert np.abs(HERMITIAN_BASIS @ rho.reshape(-1) - x).max() <= 1e-15
 
     def test_unique_kernel_at_cold_preset(self, cold_atom, cold_drive):
         assert nullspace_dimension(circular_generator(cold_atom, cold_drive)) == 1
@@ -403,12 +417,13 @@ class TestSteadyState:
             gen = circular_generator(soft_atom, random_drive(rng, 300.0, 80.0))
             t_final = 50.0 / min(soft_atom.gamma_pop, soft_atom.gamma_coh)
             evolved = evolve_expm(UNPOLARIZED, gen, t_final)
-            assert np.max(np.abs(evolved - steady_state_matrix(gen))) < 1e-6
+            rho = density_matrix(steady_state_matrix(gen))
+            assert np.max(np.abs(evolved - rho)) < 1e-6
 
     def test_validity_on_random_drives(self, warm_atom, rng):
         for _ in range(10):
             gen = circular_generator(warm_atom, random_drive(rng, 240e3, 60e3))
-            rho = steady_state_matrix(gen)
+            rho = density_matrix(steady_state_matrix(gen))
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.eigvalsh(rho).min() > -1e-9
@@ -418,8 +433,10 @@ class TestSteadyState:
         gen = circular_template(cold_atom).generator
         fields = input_fields(drive)
         gauge = np.exp(1j * 0.77)
-        rho_a = steady_state_matrix(gen(drive.delta_b, *fields))
-        rho_b = steady_state_matrix(gen(drive.delta_b, *(fields * gauge)))
+        rho_a = density_matrix(steady_state_matrix(
+            gen(drive.delta_b, *fields)))
+        rho_b = density_matrix(steady_state_matrix(
+            gen(drive.delta_b, *(fields * gauge))))
         assert np.max(np.abs(np.diag(rho_a) - np.diag(rho_b))) < 1e-12
         assert np.max(np.abs(np.abs(rho_a) - np.abs(rho_b))) < 1e-12
 
@@ -531,6 +548,18 @@ class TestHermitianBasis:
         got = HERMITIAN_BASIS @ rho.reshape(-1)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
+    def test_density_matrix_inverts_the_basis(self, rng):
+        # mat(T^dagger x): back from the coordinates of a Hermitian rho to
+        # rho, and from any real x to an exactly Hermitian matrix.
+        for _ in range(10):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = a + a.conj().T
+            back = density_matrix((HERMITIAN_BASIS @ rho.reshape(-1)).real)
+            assert np.abs(back - rho).max() <= 1e-15 * np.abs(rho).max()
+            m = density_matrix(rng.normal(size=16))
+            assert m.shape == (4, 4)
+            assert np.array_equal(m, m.conj().T)
+
     @pytest.mark.parametrize("name", ["fig3-cold", "fig4-warm"])
     def test_template_pieces_have_real_images(self, name):
         # The six vec-coordinate pieces the template maps: static and
@@ -616,8 +645,8 @@ class TestSubstitutionImage:
         # drive and its substitution image.
         for params, oc, op in ((cold_atom, 20e3, 5e3), (warm_atom, 240e3, 60e3)):
             def coherence(d):
-                rho = steady_state_matrix(
-                    hermitian_coordinates(linear_generator(params, d)))
+                rho = density_matrix(steady_state_matrix(
+                    hermitian_coordinates(linear_generator(params, d))))
                 return abs(rho[0, 2] + rho[1, 3])
 
             drive = random_drive(rng, oc, op)

@@ -29,7 +29,9 @@ from lambdaloop import (
 )
 from lambdaloop import propagation, spectroscopy
 from lambdaloop.liouvillian import (
+    HERMITIAN_BASIS,
     circular_template,
+    density_matrix,
     refined_solve,
     steady_state_matrix,
 )
@@ -105,30 +107,34 @@ class TestProbePower:
             assert probe_power(np.array([1e160, -1e160])) == math.inf
 
 
-def test_field_derivative_is_the_propagation_equations(rng):
+def test_field_rows_are_the_propagation_equations(rng):
     # The hand-written equations, the reference for the rows derived
     # from the couplings: dOmega_1/dz = -i kappa (rho_23 + rho_13) and
     # dOmega_2/dz = -i kappa (rho_24 - rho_14), levels counted from 1.
+    # The rows read Hermitian coordinates, whose 1/sqrt(2) entries round,
+    # so they match to a few units of roundoff, not bit for bit.
     for kappa in (0.0, 1.0, 2.5e3, propagation.calibrate_kappa(
             preset_atom("fig4-warm"))):
+        rows = propagation.field_rows(kappa)
         for _ in range(50):
             rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            states = (rho, rho.conj().T)
+            states = (rho, rho.conj().T, rho + rho.conj().T)
             expected = np.array([
                 [-1j * kappa * (r[1, 2] + r[0, 2]),
                  -1j * kappa * (r[1, 3] - r[0, 3])]
                 for r in states
             ]).T
+            tol = 1e-15 * kappa * np.abs(states[-1]).max()
             for r, column in zip(states, expected.T):
-                got = propagation.field_derivative(kappa, r.ravel())
+                got = rows.dot(HERMITIAN_BASIS @ r.ravel())
                 assert got.shape == (2,)
-                assert (got == column).all()
-            # A transposed (16, k) block too, as the sideband march
-            # passes one: one vectorised state per column.
-            block = np.array([r.ravel() for r in states])
-            got = propagation.field_derivative(kappa, block.T)
+                assert np.abs(got - column).max() <= tol
+            # A (16, k) block too, as the sideband march passes one: the
+            # coordinates of one state per column.
+            block = HERMITIAN_BASIS @ np.array([r.ravel() for r in states]).T
+            got = rows.dot(block)
             assert got.shape == (2, len(states))
-            assert (got == expected).all()
+            assert np.abs(got - expected).max() <= tol
 
 
 @pytest.mark.parametrize("preset", ["fig3-cold", "fig4-warm"])
@@ -149,9 +155,10 @@ def test_every_stage_loses_photons_to_decay(preset, rng):
             scale * base.omega_c * rng.uniform(0.05, 1.0),
         )
         fields = input_fields(drive)
-        rho = steady_state_matrix(template.generator(drive.delta_b, *fields))
+        x = steady_state_matrix(template.generator(drive.delta_b, *fields))
+        rho = density_matrix(x)
         gained = 2.0 * np.vdot(
-            fields, propagation.field_derivative(kappa, rho.ravel())).real
+            fields, propagation.field_rows(kappa).dot(x)).real
         decayed = kappa * atom.gamma_e * (rho[0, 0] + rho[1, 1]).real
         assert decayed > 0.0
         assert gained == pytest.approx(-decayed, rel=1e-13, abs=0.0)
@@ -601,7 +608,7 @@ class TestFailurePaths:
         # they are stubbed out to let the NaN reach the z loop.
         def on_call(n, solve):
             if n > 4 * 5:
-                return np.full((4, 4), np.nan, dtype=complex)
+                return np.full(16, np.nan)
             return solve()
 
         self.stage_hook(monkeypatch, on_call)

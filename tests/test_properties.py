@@ -12,15 +12,12 @@ from conftest import GROUND_MIX, circular_generator, linear_generator
 from lambdaloop import (
     AtomParams,
     DriveConfig,
+    density_matrix,
     steady_state_matrix,
     substitution_image,
 )
 from lambdaloop.core import validate_density_matrix
-from lambdaloop.liouvillian import (
-    HERMITIAN_BASIS,
-    STEADY_RESIDUAL_TOL,
-    hermitian_coordinates,
-)
+from lambdaloop.liouvillian import STEADY_RESIDUAL_TOL, hermitian_coordinates
 from lambdaloop.presets import preset_values
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None)
@@ -46,17 +43,16 @@ def atom_and_drive(draw):
 
 
 def linear_steady_state(atom, drive):
-    return steady_state_matrix(
-        hermitian_coordinates(linear_generator(atom, drive)))
+    return density_matrix(steady_state_matrix(
+        hermitian_coordinates(linear_generator(atom, drive))))
 
 
 @PROPERTY_SETTINGS
 @given(atom_and_drive())
 def test_steady_state_valid_with_small_residual(case):
     gen = circular_generator(*case)
-    rho = steady_state_matrix(gen)
-    validate_density_matrix(rho)
-    x = HERMITIAN_BASIS @ rho.reshape(-1)
+    x = steady_state_matrix(gen)
+    validate_density_matrix(density_matrix(x))
     residual = np.linalg.norm(gen @ x) / np.linalg.norm(gen)
     assert residual < STEADY_RESIDUAL_TOL
 
@@ -76,6 +72,6 @@ def test_substitution_image_preserves_probe_coherence(case):
 @PROPERTY_SETTINGS
 @given(atom_and_drive())
 def test_circular_state_rotates_into_linear_state(case):
-    rho_circ = steady_state_matrix(circular_generator(*case))
+    rho_circ = density_matrix(steady_state_matrix(circular_generator(*case)))
     rho_lin = linear_steady_state(*case)
     assert np.max(np.abs(GROUND_MIX @ rho_circ @ GROUND_MIX - rho_lin)) < 1e-12

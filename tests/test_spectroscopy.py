@@ -37,6 +37,7 @@ from lambdaloop.liouvillian import (
     HERMITIAN_BASIS,
     circular_template,
     commutator_superop,
+    density_matrix,
     dissipator_superop,
     hermitian_coordinates,
     solve_sideband,
@@ -886,7 +887,7 @@ class TestSidebandConjugationSymmetry:
         for delta_b, amp_a, amp_b in drives:
             gen = template.generator(delta_b, amp_a, amp_b)
             assert gen.dtype == np.float64
-            rho = steady_state_matrix(gen)
+            rho = density_matrix(steady_state_matrix(gen))
             assert np.array_equal(rho, rho.conj().T)
 
     @pytest.mark.parametrize("delta_hz", [0.0, 7.5])
@@ -895,8 +896,7 @@ class TestSidebandConjugationSymmetry:
         template = circular_template(warm_atom)
         gen = template.generator(warm_drive.delta_b,
                                  *input_fields(warm_drive))
-        vec = steady_state_matrix(gen).reshape(-1)
-        x0 = HERMITIAN_BASIS @ vec
+        x0 = steady_state_matrix(gen)
         e1, e2, m1c, m2c = rng.normal(size=4) + 1j * rng.normal(size=4)
         up1, dn1, up2, dn2 = template.drive_pieces
         seed_low = (e1 * up1 + e2 * up2 + np.conj(m1c) * dn1
@@ -910,12 +910,12 @@ class TestSidebandConjugationSymmetry:
         # The seed block sideband_transfer builds from its state, which
         # holds the +delta field f = conj(m): c = (e1, f1, e2, f2) seeds
         # -delta, and conj(c) is the conjugate of the +delta seed.  The
-        # seed map reads the carrier in vec coordinates.
-        seed_map = (template.drive_pieces @ HERMITIAN_BASIS).reshape(64, 16)
-        pieces = (seed_map @ vec).reshape(4, 16)
-        state = np.array([0.0, 0.0, e1, e2, np.conj(m1c), np.conj(m2c)])
-        c = state[[2, 4, 3, 5]]
-        seeds = pieces.T @ np.array((c, c.conj())).T
+        # seed map reads the carrier's coordinates x0 as they are.
+        seed_map = template.drive_pieces.reshape(64, 16)
+        pieces = (seed_map @ x0).reshape(4, 16)
+        state = np.array([[0.0, e1, np.conj(m1c)], [0.0, e2, np.conj(m2c)]])
+        c = state[:, 1:]
+        seeds = pieces.T @ np.array((c, c.conj())).reshape(2, 4).T
         scale = np.max(np.abs([seed_low, seed_high]))
         assert np.max(np.abs(seeds[:, 0] - seed_low)) <= 1e-13 * scale
         assert (np.max(np.abs(seeds[:, 1] - seed_high.conj()))
